@@ -42,6 +42,7 @@ __all__ = [
     "as_policy",
     "best_threshold",
     "best_thresholds_vectorized",
+    "percentile_from_counts",
     "replay_thresholds_vectorized",
 ]
 
@@ -399,8 +400,9 @@ def as_policy(value: object) -> ColdMemoryPolicy:
 # threshold of an interval depends only on that interval's promotion
 # histogram and working set, never on previously chosen thresholds.  The
 # offline replay therefore factors into (1) a fully data-parallel best-
-# threshold pass over all intervals at once and (2) a rolling-percentile
-# pass over the resulting vector.  Both are expressed here over arrays;
+# threshold pass over all intervals at once and (2) a K-th-percentile pass
+# that reads each interval's history pool from counts of the few values a
+# best threshold can take.  Both are expressed here over arrays;
 # :class:`ColdAgeThresholdPolicy` above stays the semantic reference, and
 # the model's tests prove the two produce bit-identical thresholds.
 
@@ -437,77 +439,76 @@ def best_thresholds_vectorized(
     return np.where(feasible, grid[first_fit], DISABLED)
 
 
-def _rolling_percentile(encoded: np.ndarray, k: float, window: int) -> np.ndarray:
-    """``np.percentile(encoded[max(0, t-window):t], k)`` for every ``t >= 1``.
+def percentile_from_counts(
+    ranks: np.ndarray, values: np.ndarray, k: float
+) -> np.ndarray:
+    """``np.percentile(pool, k)`` for many pools given as value counts.
 
-    Row ``t`` of the result is the percentile of the history pool *before*
-    interval ``t`` (the online ordering).  Entry 0 is NaN — the pool is
-    empty there and the caller must treat it as disabled.  Full windows are
-    one batched ``np.percentile`` call over a stride-tricks view; only the
-    at-most ``window - 1`` growing prefixes at the start loop.
+    Row ``i`` describes one pool over the ascending ``values``:
+    ``ranks[i, v]`` is how many of its elements are ``<= values[v]``, so
+    the last column is the pool's size.  The replayed history pool only
+    ever holds grid thresholds and the DISABLED sentinel, so each row's
+    percentile follows from ``len(values)`` counts without sorting: the
+    element of rank ``r`` is the first value whose count exceeds ``r``.
+    The arithmetic then mirrors :func:`_sorted_percentile` (numpy's linear
+    method, ``gamma >= 0.5`` fixup included) operation for operation, so
+    every row is bit-identical to ``np.percentile`` over its pool.  Empty
+    pools read ``values[0]``; callers mask them.
     """
-    n = encoded.size
-    out = np.full(n, np.nan)
-    for t in range(1, min(n, window)):
-        out[t] = np.percentile(encoded[:t], k)
-    if n > window:
-        windows = np.lib.stride_tricks.sliding_window_view(encoded, window)
-        out[window:] = np.percentile(windows[: n - window], k, axis=1)
-    return out
+    size = ranks[:, -1]
+    virtual_index = (k / 100.0) * (size - 1)
+    top = virtual_index >= size - 1
+    lower = virtual_index.astype(np.int64)
+    gamma = virtual_index - lower
+
+    def at_rank(rank: np.ndarray) -> np.ndarray:
+        return values[(ranks <= rank[:, None]).sum(axis=1)]
+
+    a = at_rank(np.where(top, size - 1, lower))
+    b = at_rank(np.minimum(lower + 1, size - 1))
+    diff = b - a
+    lerp = np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+    return np.where(top, a, lerp)
 
 
 def replay_thresholds_vectorized(
-    best: np.ndarray,
     config: ThresholdPolicyConfig,
     bins: AgeBins,
-    interval_seconds: float = MINUTE,
+    elapsed_seconds: np.ndarray,
+    last_best: np.ndarray,
+    pool_ranks: np.ndarray,
 ) -> np.ndarray:
-    """The threshold sequence :class:`ColdAgeThresholdPolicy` would publish.
+    """The thresholds :class:`ColdAgeThresholdPolicy` would publish, for
+    many intervals (of one job or of a whole fleet) at once.
 
-    ``result[t]`` is the threshold governing interval ``t``, computed from
-    ``best[:t]`` exactly as :meth:`ColdAgeThresholdPolicy.threshold` would
-    after observing intervals ``0..t-1``: warm-up, the fixed-threshold
-    bypass, the K-th percentile of the (sentinel-encoded) history pool,
-    grid snapping, and the spike-reaction escalation.
+    Entry ``i`` describes one interval by the policy state before it:
+    warm-up, the fixed-threshold bypass, the K-th percentile of the
+    (sentinel-encoded) history pool, grid snapping and spike reaction
+    apply exactly as :meth:`ColdAgeThresholdPolicy.threshold` applies them.
 
     Args:
-        best: per-interval best thresholds
-            (from :func:`best_thresholds_vectorized`).
         config: the policy parameters being replayed.
         bins: the candidate-threshold grid.
-        interval_seconds: length of each interval.
+        elapsed_seconds: ``(n,)`` run time of the job before the interval.
+        last_best: ``(n,)`` best threshold of the job's previous interval
+            (read only where the pool is non-empty).
+        pool_ranks: ``(n, len(bins) + 1)`` history pool of ``config``'s
+            ``history_length`` as cumulative counts over the grid followed
+            by DISABLED (see :func:`percentile_from_counts`).  An empty
+            pool marks the job's first interval.
     """
-    best = np.asarray(best, dtype=float)
-    n = best.size
-    thresholds = np.full(n, DISABLED)
-    if n == 0:
-        return thresholds
-    elapsed = np.arange(n, dtype=np.int64) * int(interval_seconds)
-    warmed = elapsed >= config.warmup_seconds
+    warmed = elapsed_seconds >= config.warmup_seconds
     if config.fixed_threshold_seconds is not None:
-        thresholds[warmed] = float(config.fixed_threshold_seconds)
-        return thresholds
-    # Interval 0 has an empty pool and stays DISABLED regardless of warm-up.
-    active = warmed.copy()
-    active[0] = False
-    if not active.any():
-        return thresholds
+        return np.where(warmed, float(config.fixed_threshold_seconds), DISABLED)
+    grid = np.asarray(bins.thresholds, dtype=float)
     sentinel = float(bins.max_threshold) * 1e9
-    encoded = np.where(np.isfinite(best), best, sentinel)
-    kth = _rolling_percentile(encoded, config.percentile_k,
-                              config.history_length)[active]
-    grid = np.asarray(bins.thresholds)
-    snap = np.searchsorted(grid, kth, side="left")
-    snapped = np.where(
-        snap >= len(grid),
-        float(bins.max_threshold),
-        grid.astype(float)[np.minimum(snap, len(grid) - 1)],
+    kth = percentile_from_counts(
+        pool_ranks, np.append(grid, sentinel), config.percentile_k
     )
-    # A percentile beyond the grid decodes back to DISABLED; it dominates
-    # the spike-reaction max below exactly as in the scalar policy.
-    snapped = np.where(kth > bins.max_threshold, DISABLED, snapped)
+    # Snap up to the grid; a percentile beyond it (DISABLED entries
+    # dominate) decodes back to DISABLED, which then also dominates the
+    # spike-reaction max, exactly as in the scalar policy.
+    snapped = np.append(grid, DISABLED)[np.searchsorted(grid, kth, side="left")]
     if config.spike_reaction:
-        last_best = best[np.flatnonzero(active) - 1]
         snapped = np.maximum(snapped, last_best)
-    thresholds[active] = snapped
-    return thresholds
+    return np.where(warmed & (pool_ranks[:, -1] > 0), snapped, DISABLED)

@@ -24,7 +24,8 @@ paths (:meth:`MachinePagePool.scan_all`,
 :meth:`MachinePagePool.reclaim_pairs`, the accounting reductions) replay
 the exact per-slot arithmetic of the scalar methods as whole-machine
 array ops; the scalar kernel remains the bit-equivalence oracle, exactly
-as ``CompiledTrace``/``replay_compiled`` oracle the vectorized model.
+as the scalar ``_replay_one_job`` loop oracles the model's fleet-wide
+array replay.
 
 Select the backend with ``MachineConfig(kernel="columnar")``; everything
 downstream (node agent, telemetry, faults, the parallel engine) is

@@ -6,7 +6,6 @@ from repro.model.replay import (
     FarMemoryModel,
     FleetReplayReport,
     JobReplayResult,
-    replay_compiled,
 )
 from repro.model.trace import (
     TRACE_PERIOD_SECONDS,
@@ -33,6 +32,5 @@ __all__ = [
     "JobTrace",
     "TraceEntry",
     "mapreduce",
-    "replay_compiled",
     "run_model_bench",
 ]

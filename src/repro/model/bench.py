@@ -99,8 +99,9 @@ def bench_configs(count: int) -> List[ThresholdPolicyConfig]:
 def _reports_equal(
     a: List[FleetReplayReport], b: List[FleetReplayReport]
 ) -> bool:
-    """Bit-identical fleet reports (dataclass equality covers thresholds,
-    cold pages, normalized rates, and both headline numbers)."""
+    """Bit-identical fleet reports: the config, both headline numbers,
+    and every job's thresholds, cold pages and normalized rates
+    (``JobReplayResult`` compares its arrays with ``np.array_equal``)."""
     return a == b
 
 

@@ -16,29 +16,33 @@ formulation: total cold memory captured (the objective) and the fleet-wide
 98th-percentile normalized promotion rate (the constraint).
 
 Replay of different jobs is independent, so the model runs as a MapReduce
-pipeline (:mod:`repro.model.mapreduce`) and scales linearly with workers.
-Three optimizations multiply on this path:
+pipeline (:mod:`repro.model.mapreduce`) whose map tasks each replay a
+contiguous shard of the fleet.  Three optimizations multiply on this path:
 
-1. **Vectorized replay** — each trace compiles once into dense suffix-sum
-   tensors (:class:`repro.model.trace.CompiledTrace`) and the §4.3 policy
-   is replayed over arrays (:func:`replay_compiled`).  The scalar
-   interval-by-interval loop (:func:`_replay_one_job`) stays as the
-   semantic oracle; both produce bit-identical reports.
-2. **Batched evaluation** — :meth:`FarMemoryModel.evaluate_many` replays a
-   whole batch of candidate configurations in *one* MapReduce: each map
-   task replays every config of the batch against one compiled trace, so
-   the per-interval best thresholds (config-independent) are computed once
-   per trace per batch, not once per trace per config.
-3. **Persistent pool** — the MapReduce pool outlives individual runs and
-   an initializer ships the compiled traces to each worker once per model,
-   so successive autotuner batches pay no per-batch serialization of the
-   fleet traces.
+1. **One fleet-wide array pass** — the compiled traces
+   (:class:`repro.model.trace.CompiledTrace`) of a shard are concatenated
+   once into a fleet tensor with per-job offsets, and each configuration
+   is replayed over the whole tensor in about twenty array operations.
+   The scalar interval-by-interval loop (:func:`_replay_one_job`) stays as
+   the semantic oracle; both produce bit-identical reports.
+2. **A rolling-count K-th percentile** — a best threshold only ever takes
+   one of ``len(bins) + 1`` values (the grid or DISABLED), so the history
+   pool of every interval is a row of value counts, read off a cumulative
+   one-hot count of the fleet.  The percentile follows from those counts
+   (:func:`repro.core.threshold_policy.percentile_from_counts`) with no
+   sort and no per-job ``np.percentile`` call.
+3. **Config-independent passes once per model** — the per-interval best
+   thresholds and the window counts of each distinct ``history_length``
+   are computed once per model and cached with the fleet tensor; the
+   persistent pool's initializer ships the tensors to each worker once,
+   so successive autotuner batches pay only the per-config passes.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -48,6 +52,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.units import MINUTE
 from repro.core.slo import PromotionRateSlo, normalized_promotion_rate
 from repro.core.threshold_policy import (
+    DISABLED,
     ColdAgeThresholdPolicy,
     ThresholdPolicyConfig,
     best_thresholds_vectorized,
@@ -61,13 +66,20 @@ __all__ = [
     "JobReplayResult",
     "FleetReplayReport",
     "FarMemoryModel",
-    "replay_compiled",
 ]
 
 
-@dataclass
+def _no_intervals() -> np.ndarray:
+    return np.zeros(0)
+
+
+@dataclass(eq=False)
 class JobReplayResult:
     """Replay outcome for one job under one configuration.
+
+    The per-interval fields are float64 arrays — on the fast path, slices
+    of the batch's fleet-wide arrays.  Equality compares every field with
+    ``np.array_equal``.
 
     Attributes:
         job_id: the replayed job.
@@ -79,20 +91,29 @@ class JobReplayResult:
     """
 
     job_id: str
-    cold_pages_captured: List[float] = field(default_factory=list)
-    normalized_rates: List[float] = field(default_factory=list)
-    thresholds: List[float] = field(default_factory=list)
+    cold_pages_captured: np.ndarray = field(default_factory=_no_intervals)
+    normalized_rates: np.ndarray = field(default_factory=_no_intervals)
+    thresholds: np.ndarray = field(default_factory=_no_intervals)
 
     @property
     def intervals(self) -> int:
-        return len(self.thresholds)
+        return int(self.thresholds.size)
 
     @property
     def mean_cold_pages(self) -> float:
         """Average far-memory size this job would have sustained."""
-        if not self.cold_pages_captured:
+        if not self.cold_pages_captured.size:
             return 0.0
         return float(np.mean(self.cold_pages_captured))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, JobReplayResult):
+            return NotImplemented
+        return self.job_id == other.job_id and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("cold_pages_captured", "normalized_rates",
+                         "thresholds")
+        )
 
 
 @dataclass
@@ -125,89 +146,169 @@ def _replay_one_job(
     trace: JobTrace,
     config: ThresholdPolicyConfig,
     slo: PromotionRateSlo,
+    interval_seconds: int = TRACE_PERIOD_SECONDS,
 ) -> JobReplayResult:
     """Replay the control algorithm over one job's trace (scalar oracle).
 
     For each interval the threshold chosen from history *before* observing
     the interval governs it — exactly the online ordering, where the agent
     publishes a threshold and the next minute runs under it.  This is the
-    reference implementation :func:`replay_compiled` is proven against.
+    reference implementation the fleet-wide replay is proven against.
+    ``interval_seconds`` is the trace's aggregation period (downsampled
+    traces have longer ones).
     """
-    result = JobReplayResult(job_id=trace.job_id)
     if not trace.entries:
-        return result
-    bins = trace.entries[0].bins
-    policy = ColdAgeThresholdPolicy(config, bins, slo)
-    for entry in trace.entries:
+        return JobReplayResult(job_id=trace.job_id)
+    n = len(trace.entries)
+    thresholds = np.empty(n)
+    captured = np.empty(n)
+    rates = np.empty(n)
+    policy = ColdAgeThresholdPolicy(config, trace.entries[0].bins, slo)
+    for t, entry in enumerate(trace.entries):
         threshold = policy.threshold()
-        result.thresholds.append(threshold)
-
+        thresholds[t] = threshold
         if np.isfinite(threshold):
-            captured = entry.cold_age_histogram.colder_than(threshold)
+            cold = entry.cold_age_histogram.colder_than(threshold)
             promoted = entry.promotion_histogram.colder_than(threshold)
         else:
-            captured = 0
+            cold = 0
             promoted = 0
-        per_min = promoted * (MINUTE / TRACE_PERIOD_SECONDS)
-        result.cold_pages_captured.append(float(captured))
-        result.normalized_rates.append(
-            normalized_promotion_rate(per_min, entry.working_set_pages)
-        )
+        per_min = promoted * (MINUTE / interval_seconds)
+        captured[t] = cold
+        rates[t] = normalized_promotion_rate(per_min, entry.working_set_pages)
         policy.observe(
             entry.promotion_histogram,
             entry.working_set_pages,
-            TRACE_PERIOD_SECONDS,
+            interval_seconds,
         )
-    return result
-
-
-def replay_compiled(
-    compiled: CompiledTrace,
-    configs: Sequence[ThresholdPolicyConfig],
-    slo: PromotionRateSlo,
-) -> List[JobReplayResult]:
-    """Vectorized replay of one compiled trace under a batch of configs.
-
-    The per-interval *best* thresholds depend only on the trace and the
-    SLO, never on ``(K, S)`` — so they are computed once here and shared
-    across the whole config batch; only the rolling-percentile decode and
-    the histogram lookups are per-config.  Every arithmetic step mirrors
-    :func:`_replay_one_job` operation for operation, so results are
-    bit-identical to the scalar oracle.
-    """
-    if compiled.intervals == 0 or compiled.bins is None:
-        return [JobReplayResult(job_id=compiled.job_id) for _ in configs]
-    best = best_thresholds_vectorized(
-        compiled.promotion_suffix_sums[:, :-1],
-        compiled.working_set_pages,
-        compiled.bins,
-        slo,
-        compiled.interval_seconds,
+    return JobReplayResult(
+        job_id=trace.job_id,
+        cold_pages_captured=captured,
+        normalized_rates=rates,
+        thresholds=thresholds,
     )
-    wss = compiled.working_set_pages.astype(float)
-    results: List[JobReplayResult] = []
-    for config in configs:
-        thresholds = replay_thresholds_vectorized(
-            best, config, compiled.bins, compiled.interval_seconds
+
+
+class _TraceGroup:
+    """Compiled traces sharing one grid and interval, concatenated.
+
+    Everything that does not depend on ``(K, S)`` is computed once here:
+    the per-interval best thresholds, each interval's position in its
+    job, and a cumulative one-hot count of the best thresholds over the
+    concatenation, from which the history pool of any interval under any
+    ``history_length`` is one subtraction.
+    """
+
+    def __init__(self, traces: Sequence[CompiledTrace], slo: PromotionRateSlo):
+        bins = traces[0].bins
+        assert bins is not None
+        self.bins = bins
+        self.interval_seconds = traces[0].interval_seconds
+        lengths = [trace.intervals for trace in traces]
+        #: ``offsets[j]:offsets[j + 1]`` are job ``j``'s intervals.
+        self.offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+        n = int(self.offsets[-1])
+        self._cold = np.concatenate([t.cold_suffix_sums for t in traces])
+        self._promo = np.concatenate([t.promotion_suffix_sums for t in traces])
+        wss = np.concatenate([t.working_set_pages for t in traces])
+        self._wss = wss.astype(float)
+        best = best_thresholds_vectorized(
+            self._promo[:, :-1], wss, bins, slo, self.interval_seconds
         )
-        captured = compiled.colder_than(thresholds, cold=True).astype(float)
-        promoted = compiled.colder_than(thresholds, cold=False)
-        per_min = promoted * (MINUTE / compiled.interval_seconds)
+        self._grid = np.asarray(bins.thresholds, dtype=float)
+        self._job_start = np.repeat(self.offsets[:-1], lengths)
+        self._elapsed = (np.arange(n) - self._job_start) * int(
+            self.interval_seconds
+        )
+        # Only read where the job has history, so the value carried over
+        # from the previous job at each job start is never used.
+        self._last_best = np.concatenate([[DISABLED], best[:-1]])
+        # ``_seen[g, v]``: intervals before ``g`` whose best threshold is
+        # value ``v`` of grid + (DISABLED,).
+        onehot = np.zeros((n + 1, len(self._grid) + 1), dtype=np.int64)
+        onehot[np.arange(1, n + 1), np.searchsorted(self._grid, best)] = 1
+        self._seen = np.cumsum(onehot, axis=0)
+        self._row_base = np.arange(n) * (len(self._grid) + 1)
+        self._pool_ranks: Dict[int, np.ndarray] = {}
+
+    def pool_ranks(self, history_length: int) -> np.ndarray:
+        """Each interval's history pool as cumulative value counts."""
+        ranks = self._pool_ranks.get(history_length)
+        if ranks is None:
+            index = np.arange(self._elapsed.size)
+            oldest = np.maximum(self._job_start, index - history_length)
+            ranks = np.cumsum(self._seen[:-1] - self._seen[oldest], axis=1)
+            self._pool_ranks[history_length] = ranks
+        return ranks
+
+    def replay(
+        self, config: ThresholdPolicyConfig
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(thresholds, cold pages captured, normalized rates)`` of
+        every interval of the group under ``config``."""
+        thresholds = replay_thresholds_vectorized(
+            config, self.bins, self._elapsed, self._last_best,
+            self.pool_ranks(config.history_length),
+        )
+        # ``colder_than`` on both suffix-sum matrices; DISABLED indexes
+        # the trailing zero column.
+        cell = self._row_base + np.searchsorted(self._grid, thresholds)
+        captured = self._cold.ravel()[cell].astype(float)
+        per_min = self._promo.ravel()[cell] * (MINUTE / self.interval_seconds)
         with np.errstate(divide="ignore", invalid="ignore"):
             rates = np.where(
-                wss > 0.0,
-                (100.0 * per_min) / wss,
-                np.where(per_min <= 0.0, 0.0, float("inf")),
+                self._wss > 0.0,
+                (100.0 * per_min) / self._wss,
+                np.where(per_min <= 0.0, 0.0, np.inf),
             )
-        results.append(
-            JobReplayResult(
-                job_id=compiled.job_id,
-                cold_pages_captured=captured.tolist(),
-                normalized_rates=rates.tolist(),
-                thresholds=thresholds.tolist(),
-            )
-        )
-    return results
+        return thresholds, captured, rates
+
+
+class _FleetShard:
+    """A contiguous run of compiled traces, replayed in one array pass
+    per group of traces that share a grid and an interval length."""
+
+    def __init__(self, traces: Sequence[CompiledTrace], slo: PromotionRateSlo):
+        self.job_ids = [trace.job_id for trace in traces]
+        members: Dict[Tuple[Tuple[int, ...], int], List[int]] = {}
+        for index, trace in enumerate(traces):
+            if trace.intervals and trace.bins is not None:
+                key = (trace.bins.thresholds, trace.interval_seconds)
+                members.setdefault(key, []).append(index)
+        self.groups: List[_TraceGroup] = []
+        #: Per job: (group, start, stop) in that group, or None if empty.
+        self.slots: List[Optional[Tuple[int, int, int]]] = [None] * len(traces)
+        for indices in members.values():
+            group = _TraceGroup([traces[i] for i in indices], slo)
+            bounds = group.offsets.tolist()
+            for i, start, stop in zip(indices, bounds[:-1], bounds[1:]):
+                self.slots[i] = (len(self.groups), start, stop)
+            self.groups.append(group)
+
+    def replay(
+        self, configs: Sequence[ThresholdPolicyConfig]
+    ) -> List[List[JobReplayResult]]:
+        """Per config, the results of every job of the shard in order."""
+        out = []
+        for config in configs:
+            arrays = [group.replay(config) for group in self.groups]
+            results = []
+            for job_id, slot in zip(self.job_ids, self.slots):
+                if slot is None:
+                    results.append(JobReplayResult(job_id=job_id))
+                    continue
+                g, start, stop = slot
+                thresholds, captured, rates = arrays[g]
+                results.append(
+                    JobReplayResult(
+                        job_id=job_id,
+                        cold_pages_captured=captured[start:stop],
+                        normalized_rates=rates[start:stop],
+                        thresholds=thresholds[start:stop],
+                    )
+                )
+            out.append(results)
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -215,12 +316,13 @@ def replay_compiled(
 # ----------------------------------------------------------------------
 #
 # The pool initializer runs once per worker process and parks the model's
-# replay payload (compiled traces — or raw traces for the scalar oracle)
-# in this module-global dict, keyed by a per-model token so several models
-# sharing one process (workers=1 runs in-process) never clobber each
-# other.  Map tasks then carry only ``(trace_index, configs)``.
+# replay payload (fleet shards — or raw trace shards for the scalar
+# oracle) in this module-global dict, keyed by a per-model token so
+# several models sharing one process (workers=1 runs in-process) never
+# clobber each other.  Map tasks then carry only ``(shard_index, configs)``.
+# A model pops its token when closed or garbage-collected.
 
-_ReplayPayload = Union[List[CompiledTrace], List[JobTrace]]
+_ReplayPayload = Union[List[_FleetShard], List[List[JobTrace]]]
 _WORKER_STATE: Dict[str, Tuple[_ReplayPayload, PromotionRateSlo]] = {}
 _MODEL_TOKENS = itertools.count()
 
@@ -232,33 +334,44 @@ def _init_model_worker(
     _WORKER_STATE[token] = (payload, slo)
 
 
-def _replay_batch_task(
+def _replay_shard_task(
     task: Tuple[int, List[ThresholdPolicyConfig]],
     token: str,
     vectorized: bool,
-) -> List[JobReplayResult]:
-    """One map task: replay the whole config batch against one trace."""
+) -> List[List[JobReplayResult]]:
+    """One map task: replay the whole config batch against one shard."""
     index, configs = task
     payload, slo = _WORKER_STATE[token]
-    unit = payload[index]
+    shard = payload[index]
     if vectorized:
-        return replay_compiled(unit, configs, slo)
-    return [_replay_one_job(unit, config, slo) for config in configs]
+        return shard.replay(configs)
+    return [[_replay_one_job(trace, config, slo) for trace in shard]
+            for config in configs]
 
 
-def _collect(mapped: List[List[JobReplayResult]]) -> List[List[JobReplayResult]]:
+def _collect(
+    mapped: List[List[List[JobReplayResult]]],
+) -> List[List[List[JobReplayResult]]]:
     """Identity reducer: the fleet reduction is per-config, done by the model."""
     return mapped
+
+
+def _shard_bounds(n: int, shards: int) -> List[Tuple[int, int]]:
+    """``shards`` contiguous, near-equal index ranges covering ``range(n)``."""
+    cuts = [n * i // shards for i in range(shards + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 class FarMemoryModel:
     """Replays fleet traces under candidate configurations.
 
-    Traces compile lazily on first evaluation; the MapReduce pool (when
-    ``workers > 1``) starts lazily, persists across evaluations, and ships
-    the compiled traces to each worker once via the pool initializer.
-    Call :meth:`close` (or use the model as a context manager) to tear the
-    pool down.
+    Traces compile lazily on first evaluation and are then split into
+    ``workers`` contiguous shards, each concatenated once into a fleet
+    tensor that caches the configuration-independent passes.  The
+    MapReduce pool (when ``workers > 1``) starts lazily, persists across
+    evaluations, and ships the shards to each worker once via the pool
+    initializer.  Call :meth:`close` (or use the model as a context
+    manager) to tear the pool down.
 
     Args:
         traces: per-job traces (e.g. ``trace_db.traces()``), or
@@ -317,8 +430,10 @@ class FarMemoryModel:
         self._compiled: Optional[List[CompiledTrace]] = (
             precompiled if precompiled else None
         )
+        self._shards: Optional[_ReplayPayload] = None
         self._pipeline: Optional[MapReduce] = None
         self._token: Optional[str] = None
+        self._release: Optional[weakref.finalize] = None
 
     # ------------------------------------------------------------------
     # Lazy compilation & pool lifecycle
@@ -333,22 +448,39 @@ class FarMemoryModel:
             self._m_compiled.inc(len(self._compiled))
         return self._compiled
 
+    def _shard_payload(self) -> _ReplayPayload:
+        """The fleet split into map-task shards (built once, cached)."""
+        if self._shards is None:
+            units = self.compiled_traces if self.vectorized else self.traces
+            bounds = _shard_bounds(len(units), max(1, min(self.workers, len(units))))
+            if self.vectorized:
+                self._shards = [
+                    _FleetShard(units[lo:hi], self.slo) for lo, hi in bounds
+                ]
+            else:
+                self._shards = [units[lo:hi] for lo, hi in bounds]
+        return self._shards
+
     def _ensure_pipeline(self) -> MapReduce:
         if self._pipeline is None:
-            payload: _ReplayPayload = (
-                self.compiled_traces if self.vectorized else self.traces
+            payload = self._shard_payload()
+            token = f"model-{next(_MODEL_TOKENS)}"
+            # A model dropped without close() must not leave its payload
+            # in the module-global worker state for the process lifetime.
+            self._release = weakref.finalize(
+                self, _WORKER_STATE.pop, token, None
             )
-            self._token = f"model-{next(_MODEL_TOKENS)}"
+            self._token = token
             self._pipeline = MapReduce(
                 mapper=functools.partial(
-                    _replay_batch_task,
-                    token=self._token,
+                    _replay_shard_task,
+                    token=token,
                     vectorized=self.vectorized,
                 ),
                 reducer=_collect,
                 workers=self.workers,
                 initializer=_init_model_worker,
-                initargs=(self._token, payload, self.slo),
+                initargs=(token, payload, self.slo),
             )
         return self._pipeline
 
@@ -357,9 +489,10 @@ class FarMemoryModel:
         if self._pipeline is not None:
             self._pipeline.close()
             self._pipeline = None
-        if self._token is not None:
-            _WORKER_STATE.pop(self._token, None)
-            self._token = None
+        if self._release is not None:
+            self._release()
+            self._release = None
+        self._token = None
 
     def __enter__(self) -> "FarMemoryModel":
         return self
@@ -380,29 +513,30 @@ class FarMemoryModel:
     ) -> List[FleetReplayReport]:
         """Evaluate a batch of configurations in one MapReduce.
 
-        Each map task replays the *entire* batch against one trace, so the
-        per-trace best-threshold pass amortizes across the batch and a
-        fleet of N traces costs N tasks regardless of batch size.  Reports
-        come back in ``configs`` order.
+        Each map task replays the *entire* batch against one shard of the
+        fleet, one array pass per configuration, so a batch costs one task
+        per worker regardless of fleet and batch size.  Reports come back
+        in ``configs`` order.
         """
         configs = list(configs)
         if not configs:
             return []
         pipeline = self._ensure_pipeline()
-        n_traces = (
-            len(self.compiled_traces) if self.vectorized else len(self.traces)
-        )
-        tasks = [(index, configs) for index in range(n_traces)]
+        assert self._shards is not None
+        tasks = [(index, configs) for index in range(len(self._shards))]
         with self._tracer.span("model.evaluate_many", batch=len(configs)):
             with Stopwatch() as watch:
-                per_trace = pipeline.run(tasks)
+                per_shard = pipeline.run(tasks)
         self._m_configs.inc(len(configs))
         self._m_seconds.observe(watch.seconds)
-        reports = []
-        for j, config in enumerate(configs):
-            results = [per_trace[i][j] for i in range(n_traces)]
-            reports.append(_reduce_fleet(results, config=config, slo=self.slo))
-        return reports
+        return [
+            _reduce_fleet(
+                [result for shard in per_shard for result in shard[j]],
+                config=config,
+                slo=self.slo,
+            )
+            for j, config in enumerate(configs)
+        ]
 
 
 def _reduce_fleet(
@@ -413,8 +547,7 @@ def _reduce_fleet(
     """Combine per-job replays into the fleet report."""
     total_cold = sum(r.mean_cold_pages for r in results)
     rates = np.concatenate(
-        [np.asarray(r.normalized_rates) for r in results if r.normalized_rates]
-        or [np.zeros(0)]
+        [r.normalized_rates for r in results] or [np.zeros(0)]
     )
     finite = rates[np.isfinite(rates)]
     p98 = float(np.percentile(finite, 98.0)) if finite.size else 0.0

@@ -1187,6 +1187,12 @@ class TraceStore:
         Window aggregates are untouched — they were folded in at append
         time, which is exactly why aggregation is incremental.
 
+        Crash ordering: every new segment is written first, then the
+        manifest is replaced atomically, and only then are the replaced
+        segments unlinked.  A failure before the manifest lands leaves
+        the old manifest naming old segments that still exist (the new
+        ones are orphans); a failure after it leaves stale files only.
+
         Args:
             factor: raw rows per output row (>= 2 to change anything).
             before: only downsample segments whose newest row is older
@@ -1205,6 +1211,7 @@ class TraceStore:
         if factor == 1:
             return 0
         removed = 0
+        replaced: List[str] = []
         for index, info in enumerate(self.segments):
             if info.downsample != 1 or info.rows == 0:
                 continue
@@ -1220,7 +1227,7 @@ class TraceStore:
             with tmp.open("wb") as fh:
                 np.savez(fh, **new_cols)
             os.replace(tmp, path)
-            (self.root / info.name).unlink()
+            replaced.append(info.name)
             self.segments[index] = SegmentInfo(
                 name=name,
                 rows=int(new_cols["time"].size),
@@ -1243,6 +1250,8 @@ class TraceStore:
             self.rows_downsampled += removed
             self._m_downsampled.inc(removed)
         self._write_manifest()
+        for name in replaced:
+            (self.root / name).unlink()
         return removed
 
 

@@ -16,6 +16,7 @@ from repro.core.threshold_policy import (
     ThresholdPolicyConfig,
     as_policy,
     best_threshold,
+    percentile_from_counts,
 )
 
 
@@ -186,6 +187,30 @@ def test_quiet_history_always_most_aggressive(n_quiet, wss):
     for _ in range(n_quiet):
         policy.observe(AgeHistogram(bins), wss)
     assert policy.threshold() == bins.min_threshold
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    pools=st.lists(
+        st.lists(st.integers(min_value=0, max_value=9), min_size=1,
+                 max_size=130),
+        min_size=1,
+        max_size=8,
+    ),
+    k=st.floats(min_value=0, max_value=100),
+)
+def test_percentile_from_counts_matches_numpy(pools, k):
+    """Property: reading the percentile off value counts is bit-identical
+    to ``np.percentile`` over the pool itself, sentinel included."""
+    bins = default_age_bins()
+    values = np.append(np.asarray(bins.thresholds, dtype=float),
+                       float(bins.max_threshold) * 1e9)
+    ranks = np.cumsum(
+        [np.bincount(pool, minlength=values.size) for pool in pools], axis=1
+    )
+    got = percentile_from_counts(ranks, values, k)
+    for pool, value in zip(pools, got):
+        assert value == np.percentile(values[pool], k)
 
 
 class TestPolicySeam:

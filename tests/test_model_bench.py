@@ -2,7 +2,11 @@
 
 import json
 
+import numpy as np
+
+from repro.model import FarMemoryModel
 from repro.model.bench import (
+    _reports_equal,
     bench_configs,
     run_model_bench,
     synthetic_fleet_traces,
@@ -53,3 +57,15 @@ class TestRunModelBench:
         assert report["parallel"] is None
         assert report["speedup_parallel"] is None
         assert json.loads(out.read_text()) == report
+
+    def test_reports_equal_compares_every_job_array(self):
+        """The equivalence gate is a real comparison of the per-job
+        arrays: equal batches pass, a one-ulp change in one rate fails."""
+        traces = synthetic_fleet_traces(jobs=3, intervals=12, seed=3)
+        with FarMemoryModel(traces) as model:
+            a = model.evaluate_many(bench_configs(2))
+            b = model.evaluate_many(bench_configs(2))
+        assert _reports_equal(a, b)
+        rates = b[1].job_results[2].normalized_rates
+        rates[5] = np.nextafter(rates[5], np.inf)
+        assert not _reports_equal(a, b)

@@ -1,12 +1,22 @@
 """The fast far memory model: offline replay of the control algorithm."""
 
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.histograms import AgeHistogram, default_age_bins
+from repro.core.histograms import AgeBins, AgeHistogram, default_age_bins
 from repro.core.slo import PromotionRateSlo
 from repro.core.threshold_policy import ThresholdPolicyConfig
-from repro.model.replay import FarMemoryModel, _replay_one_job, replay_compiled
+from repro.model.replay import (
+    _WORKER_STATE,
+    FarMemoryModel,
+    _reduce_fleet,
+    _replay_one_job,
+)
 from repro.model.trace import JobTrace, TraceEntry
 from repro.obs import MetricName, MetricRegistry
 
@@ -82,9 +92,74 @@ EQUIVALENCE_CONFIGS = [
 def assert_bit_identical(scalar, vectorized):
     __tracebackhide__ = True
     assert scalar.job_id == vectorized.job_id
-    assert scalar.thresholds == vectorized.thresholds
-    assert scalar.cold_pages_captured == vectorized.cold_pages_captured
-    assert scalar.normalized_rates == vectorized.normalized_rates
+    for name in ("thresholds", "cold_pages_captured", "normalized_rates"):
+        a, b = getattr(scalar, name), getattr(vectorized, name)
+        assert a.dtype == b.dtype == np.float64, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def replay_fleet(compiled, configs, slo, workers=1):
+    """Per config, the per-job results of the model's fleet-wide replay."""
+    with FarMemoryModel(compiled, slo, workers=workers) as model:
+        return [report.job_results for report in model.evaluate_many(configs)]
+
+
+#: Two threshold grids, so a fleet can mix them.
+GRIDS = (default_age_bins(), AgeBins((120, 480, 1920)))
+
+
+def make_ragged_job(rng, job_id, n_entries, bins, style):
+    """A randomized trace; ``style="disabled"`` re-touches so much cold
+    memory against a tiny working set that every best threshold is
+    DISABLED."""
+    trace = JobTrace(job_id)
+    for i in range(n_entries):
+        promo = AgeHistogram(bins)
+        if style == "disabled":
+            wss = int(rng.integers(0, 50))
+            counts = np.zeros(len(bins), dtype=np.int64)
+            counts[-1] = 1000
+            promo.add_binned(counts)
+        else:
+            wss = 0 if rng.random() < 0.1 else int(rng.integers(1, 60_000))
+            promo.add_binned(rng.integers(0, 60, size=len(bins)))
+        cold = AgeHistogram(bins)
+        cold.add_binned(rng.integers(0, 3000, size=len(bins)))
+        trace.append(
+            TraceEntry(
+                job_id=job_id,
+                machine_id="m0",
+                time=i * 300,
+                working_set_pages=wss,
+                promotion_histogram=promo,
+                cold_age_histogram=cold,
+                resident_pages=wss + 1000,
+            )
+        )
+    return trace
+
+
+def make_ragged_fleet(seed, shapes):
+    """``(traces, interval_seconds, compiled)`` for job shapes
+    ``(n_entries, style, interval_seconds, grid_index)``."""
+    rng = np.random.default_rng(seed)
+    traces, intervals, compiled = [], [], []
+    for j, (n_entries, style, interval, grid) in enumerate(shapes):
+        trace = make_ragged_job(rng, f"j{j}", n_entries, GRIDS[grid], style)
+        traces.append(trace)
+        intervals.append(interval)
+        compiled.append(
+            dataclasses.replace(trace.compile(), interval_seconds=interval)
+        )
+    return traces, intervals, compiled
+
+
+job_shapes = st.tuples(
+    st.integers(0, 300),
+    st.sampled_from(("mixed", "disabled")),
+    st.sampled_from((300, 600)),
+    st.integers(0, len(GRIDS) - 1),
+)
 
 
 class TestReplayOneJob:
@@ -211,7 +286,7 @@ class TestFleetModel:
             expected.append(policy.threshold())
             policy.observe(entry.promotion_histogram,
                            entry.working_set_pages, 300)
-        assert result.thresholds == expected
+        assert result.thresholds.tolist() == expected
 
 
 class TestVectorizedEquivalence:
@@ -226,17 +301,63 @@ class TestVectorizedEquivalence:
         trace = make_random_trace(
             rng, n_entries=int(rng.integers(1, 200)), zero_wss_at=(0, 2, 9)
         )
-        compiled = trace.compile()
-        vectorized = replay_compiled(compiled, EQUIVALENCE_CONFIGS, slo)
-        for config, vec in zip(EQUIVALENCE_CONFIGS, vectorized):
+        vectorized = replay_fleet([trace.compile()], EQUIVALENCE_CONFIGS, slo)
+        for config, (vec,) in zip(EQUIVALENCE_CONFIGS, vectorized):
             assert_bit_identical(_replay_one_job(trace, config, slo), vec)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shapes=st.lists(job_shapes, max_size=30),
+           seed=st.integers(0, 2**32 - 1),
+           drawn=st.builds(
+               ThresholdPolicyConfig,
+               percentile_k=st.floats(0.0, 100.0),
+               warmup_seconds=st.integers(0, 3000),
+               history_length=st.integers(1, 40),
+               spike_reaction=st.booleans(),
+           ))
+    def test_ragged_fleets_bit_identical(self, shapes, seed, drawn):
+        """Whole ragged fleets — empty, shorter- and longer-than-history,
+        all-DISABLED and zero-WSS traces, two grids and two interval
+        lengths mixed — replay in one pass exactly as the oracle replays
+        them job by job."""
+        slo = PromotionRateSlo()
+        configs = EQUIVALENCE_CONFIGS + [drawn]
+        traces, intervals, compiled = make_ragged_fleet(seed, shapes)
+        with FarMemoryModel(compiled, slo) as model:
+            reports = model.evaluate_many(configs)
+        for config, report in zip(configs, reports):
+            expected = _reduce_fleet(
+                [_replay_one_job(trace, config, slo, interval)
+                 for trace, interval in zip(traces, intervals)],
+                config=config, slo=slo,
+            )
+            assert report.total_cold_pages == expected.total_cold_pages
+            assert report.promotion_rate_p98 == expected.promotion_rate_p98
+            assert len(report.job_results) == len(expected.job_results)
+            for want, got in zip(expected.job_results, report.job_results):
+                assert_bit_identical(want, got)
+
+    def test_sharded_replay_matches_in_process(self):
+        """Two workers replay two contiguous shards; the reports equal the
+        single in-process pass."""
+        shapes = [(n, style, interval, n % 2) for n, style, interval in (
+            (0, "mixed", 300), (250, "mixed", 300), (7, "disabled", 600),
+            (130, "mixed", 600), (1, "mixed", 300), (40, "disabled", 300),
+            (121, "mixed", 600),
+        )]
+        _, _, compiled = make_ragged_fleet(5, shapes)
+        slo = PromotionRateSlo()
+        with FarMemoryModel(compiled, slo) as serial:
+            expected = serial.evaluate_many(EQUIVALENCE_CONFIGS)
+        with FarMemoryModel(compiled, slo, workers=2) as pooled:
+            assert pooled.evaluate_many(EQUIVALENCE_CONFIGS) == expected
 
     def test_empty_trace(self):
         slo = PromotionRateSlo()
         compiled = JobTrace("empty").compile()
-        results = replay_compiled(compiled, EQUIVALENCE_CONFIGS, slo)
+        results = replay_fleet([compiled], EQUIVALENCE_CONFIGS, slo)
         assert len(results) == len(EQUIVALENCE_CONFIGS)
-        for result in results:
+        for (result,) in results:
             assert result.intervals == 0
             assert result.mean_cold_pages == 0.0
 
@@ -246,7 +367,7 @@ class TestVectorizedEquivalence:
         slo = PromotionRateSlo()
         config = ThresholdPolicyConfig(warmup_seconds=10**9)
         trace = make_trace(n_entries=10)
-        vec = replay_compiled(trace.compile(), [config], slo)[0]
+        ((vec,),) = replay_fleet([trace.compile()], [config], slo)
         assert_bit_identical(_replay_one_job(trace, config, slo), vec)
         assert all(t == float("inf") for t in vec.thresholds)
         assert all(c == 0.0 for c in vec.cold_pages_captured)
@@ -259,7 +380,7 @@ class TestVectorizedEquivalence:
             rng, n_entries=8, zero_wss_at=range(8), promo_scale=1
         )
         # promo_scale=1 keeps integers(0, 1) == 0: no promotions at all.
-        vec = replay_compiled(trace.compile(), [config], slo)[0]
+        ((vec,),) = replay_fleet([trace.compile()], [config], slo)
         assert_bit_identical(_replay_one_job(trace, config, slo), vec)
         assert all(r == 0.0 for r in vec.normalized_rates)
 
@@ -272,7 +393,7 @@ class TestVectorizedEquivalence:
                                        fixed_threshold_seconds=120.0)
         rng = np.random.default_rng(13)
         trace = make_random_trace(rng, n_entries=8, zero_wss_at=range(8))
-        vec = replay_compiled(trace.compile(), [config], slo)[0]
+        ((vec,),) = replay_fleet([trace.compile()], [config], slo)
         assert_bit_identical(_replay_one_job(trace, config, slo), vec)
         assert any(r == float("inf") for r in vec.normalized_rates)
 
@@ -331,3 +452,14 @@ class TestBatchedEvaluation:
         # Still usable after close: the next evaluation rebuilds lazily.
         report = model.evaluate(ThresholdPolicyConfig())
         assert report.job_results
+
+    def test_dropped_model_releases_worker_state(self):
+        """A model garbage-collected without close() takes its replay
+        payload out of the module-global worker state."""
+        model = FarMemoryModel([make_trace()])
+        model.evaluate(ThresholdPolicyConfig())
+        token = model._token
+        assert token in _WORKER_STATE
+        del model
+        gc.collect()
+        assert token not in _WORKER_STATE

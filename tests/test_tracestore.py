@@ -392,6 +392,23 @@ class TestDownsampling:
         store.compact(2)
         assert store.compact(2) == 0  # already-downsampled segments skipped
 
+    def test_failed_manifest_write_loses_no_row(self, tmp_path, monkeypatch):
+        """compact() unlinks replaced segments only after the manifest
+        lands, so a manifest write that fails mid-compact leaves the old
+        manifest naming segments that all still exist."""
+        store, trace = self.fill(tmp_path)
+
+        def fail():
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store, "_write_manifest", fail)
+        with pytest.raises(OSError, match="disk full"):
+            store.compact(2)
+        reopened = TraceStore(tmp_path / "s", create=False)
+        assert reopened.rows_total == len(trace.entries)
+        (compiled,) = reopened.compiled_traces()
+        assert_compiled_equal(compiled, CompiledTrace.from_trace(trace))
+
 
 class TestColumnarTraceDatabase:
     def test_database_surface(self, tmp_path):
