@@ -111,8 +111,9 @@ class GpBandit:
     def observe(
         self, point: np.ndarray, objective: float, constraint: float
     ) -> None:
-        """Record a completed trial."""
-        point = np.asarray(point, dtype=np.float64).ravel()
+        """Record a completed trial (the point is copied, so the caller
+        may reuse its array)."""
+        point = np.asarray(point, dtype=np.float64).flatten()
         require(point.size == self.space.dim, "point dimension mismatch")
         require(np.isfinite(objective), "objective must be finite")
         require(np.isfinite(constraint), "constraint must be finite")
@@ -164,12 +165,15 @@ class GpBandit:
                 for prior in chosen:
                     distance = np.linalg.norm(candidates - prior, axis=1)
                     scores = np.where(distance < 0.05, -np.inf, scores)
-                chosen.append(candidates[int(np.argmax(scores))])
+                # A copy, so the point does not pin the candidate buffer.
+                chosen.append(candidates[int(np.argmax(scores))].copy())
             self._m_suggestions.inc(n)
             return chosen
 
     def _fit_models(self) -> Tuple[GaussianProcess, GaussianProcess]:
-        with self._tracer.span("gp_bandit.fit"):
+        with self._tracer.span(
+            "gp_bandit.fit", observations=len(self.observations)
+        ):
             return self._fit_models_inner()
 
     def _fit_models_inner(self) -> Tuple[GaussianProcess, GaussianProcess]:

@@ -22,13 +22,27 @@ __all__ = ["Kernel", "RbfKernel", "Matern52Kernel"]
 def _scaled_distances(
     x1: np.ndarray, x2: np.ndarray, lengthscales: np.ndarray
 ) -> np.ndarray:
-    """Pairwise Euclidean distances after per-dimension scaling."""
+    """Pairwise Euclidean distances after per-dimension scaling.
+
+    ``lengthscales`` is ``(d,)`` for one ``(n1, n2)`` matrix, or
+    ``(P, 1, d)`` for a ``(P, n1, n2)`` stack, one matrix per row of
+    scales; each stacked matrix equals the unstacked one bit for bit.
+    When ``x2 is x1`` the scaled points and their norms are computed
+    once.  The product stays a gemm either way: its left factor
+    ``2.0 * s1`` is a fresh array, and numpy picks syrk only for
+    ``a @ a.T`` on one buffer.
+    """
     s1 = x1 / lengthscales
-    s2 = x2 / lengthscales
+    norms1 = np.sum(s1**2, axis=-1)
+    if x2 is x1:
+        s2, norms2 = s1, norms1
+    else:
+        s2 = x2 / lengthscales
+        norms2 = np.sum(s2**2, axis=-1)
     sq = (
-        np.sum(s1**2, axis=1)[:, None]
-        + np.sum(s2**2, axis=1)[None, :]
-        - 2.0 * s1 @ s2.T
+        norms1[..., :, None]
+        + norms2[..., None, :]
+        - 2.0 * s1 @ np.swapaxes(s2, -1, -2)
     )
     return np.sqrt(np.maximum(sq, 0.0))
 
@@ -63,6 +77,23 @@ class Kernel(abc.ABC):
         return self.variance * self._from_distance(
             _scaled_distances(x1, x2, scales)
         )
+
+    def gram_stack(
+        self, x: np.ndarray, lengthscales: np.ndarray, variances: np.ndarray
+    ) -> np.ndarray:
+        """``k(x, x)`` under ``P`` hyperparameter settings at once.
+
+        Args:
+            x: inputs, shape (n, d).
+            lengthscales: shape (P, d), one row of scales per setting.
+            variances: shape (P,) signal variances.
+
+        Returns:
+            ``(P, n, n)``; slice ``p`` equals, bit for bit,
+            ``self.with_params(lengthscales[p], variances[p])(x, x)``.
+        """
+        r = _scaled_distances(x, x, lengthscales[:, None, :])
+        return variances[:, None, None] * self._from_distance(r)
 
     def diagonal(self, n: int) -> np.ndarray:
         """k(x, x) for n points (constant for stationary kernels)."""

@@ -756,23 +756,6 @@ class CompiledTrace:
             interval_seconds=interval_seconds,
         )
 
-    def colder_than(self, thresholds: np.ndarray, *, cold: bool) -> np.ndarray:
-        """Per-interval ``colder_than(thresholds[t])`` as one indexed lookup.
-
-        Args:
-            thresholds: ``(intervals,)`` per-interval thresholds; infinite
-                entries (DISABLED) yield 0.
-            cold: read the cold-age matrix (True) or the promotion matrix.
-        """
-        assert self.bins is not None
-        matrix = self.cold_suffix_sums if cold else self.promotion_suffix_sums
-        grid = np.asarray(self.bins.thresholds)
-        finite = np.isfinite(thresholds)
-        # DISABLED rows index the explicit zero column.
-        column = np.full(thresholds.shape, len(grid), dtype=np.int64)
-        column[finite] = np.searchsorted(grid, thresholds[finite], side="left")
-        return matrix[np.arange(matrix.shape[0]), column]
-
 
 def _suffix_sum_matrix(counts: np.ndarray) -> np.ndarray:
     """Row-wise suffix sums with a trailing zero column.

@@ -39,6 +39,23 @@ class TestObservations:
                            objective=value, constraint=0.0)
         assert bandit.best().objective == 5.0
 
+    def test_observe_copies_the_point(self):
+        bandit = GpBandit(make_space(), constraint_limit=1.0, seed=0)
+        point = np.array([0.25, 0.75])
+        bandit.observe(point, objective=1.0, constraint=0.0)
+        point[0] = 0.9
+        recorded = bandit.observations[-1].point
+        assert recorded.tolist() == [0.25, 0.75]
+        assert recorded.base is None
+
+    def test_suggested_points_own_their_memory(self):
+        bandit = GpBandit(make_space(), constraint_limit=1.0, seed=1)
+        rng = np.random.default_rng(2)
+        for _ in range(6):
+            point = rng.random(2)
+            bandit.observe(point, objective(point), constraint(point))
+        assert all(point.base is None for point in bandit.suggest(3))
+
     def test_rejects_bad_observations(self):
         bandit = GpBandit(make_space(), constraint_limit=1.0)
         with pytest.raises(ConfigurationError):

@@ -92,3 +92,25 @@ def test_kernel_matrices_are_psd(kernel_cls, seed, n, d, lengthscale):
     k = kernel_cls(lengthscale)(x, x)
     eigenvalues = np.linalg.eigvalsh(k)
     assert eigenvalues.min() >= -1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    n=st.integers(min_value=1, max_value=30),
+    d=st.integers(min_value=1, max_value=4),
+    stack=st.integers(min_value=1, max_value=7),
+)
+@pytest.mark.parametrize("kernel_cls", [RbfKernel, Matern52Kernel])
+def test_gram_stack_slices_match_single_gram_bit_for_bit(
+    kernel_cls, seed, n, d, stack
+):
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, d))
+    scales = rng.uniform(0.01, 10.0, size=(stack, d))
+    variances = rng.uniform(1e-3, 1e2, size=stack)
+    grams = kernel_cls(0.2).gram_stack(x, scales, variances)
+    assert grams.shape == (stack, n, n)
+    for gram, scale, variance in zip(grams, scales, variances):
+        single = kernel_cls(scale, float(variance))(x, x)
+        assert gram.tobytes() == single.tobytes()

@@ -144,8 +144,8 @@ class TestFromColumnsEquivalence:
         assert_compiled_equal(built, CompiledTrace.from_trace(trace))
 
     def test_colder_than_beyond_grid(self):
-        """A threshold past the grid must read the explicit zero column
-        identically on both constructions."""
+        """A threshold past the grid (or DISABLED) must read the explicit
+        trailing zero column identically on both constructions."""
         trace = random_fleet(jobs=1, seed=5)[0]
         oracle = CompiledTrace.from_trace(trace)
         built = CompiledTrace.from_columns(
@@ -153,19 +153,18 @@ class TestFromColumnsEquivalence:
             bins=trace.entries[0].bins,
             **self.columns_of(trace),
         )
-        beyond = np.full(
-            oracle.intervals, float(max(oracle.bins.thresholds)) * 10
-        )
-        disabled = np.full(oracle.intervals, np.inf)
-        for thresholds in (beyond, disabled):
-            for cold in (True, False):
-                np.testing.assert_array_equal(
-                    built.colder_than(thresholds, cold=cold),
-                    oracle.colder_than(thresholds, cold=cold),
-                )
-        np.testing.assert_array_equal(
-            built.colder_than(beyond, cold=True), np.zeros(oracle.intervals)
-        )
+        grid = np.asarray(oracle.bins.thresholds)
+        # The column replay indexes for a threshold beyond the grid.
+        beyond = int(np.searchsorted(grid, grid.max() * 10))
+        assert beyond == int(np.searchsorted(grid, np.inf)) == len(grid)
+        for name in ("cold_suffix_sums", "promotion_suffix_sums"):
+            matrix = getattr(built, name)
+            np.testing.assert_array_equal(matrix, getattr(oracle, name))
+            assert matrix.shape == (oracle.intervals, len(oracle.bins) + 1)
+            np.testing.assert_array_equal(
+                matrix[:, beyond], np.zeros(oracle.intervals)
+            )
+        assert oracle.cold_suffix_sums[:, 0].any()
 
     def test_missing_bins_rejected(self):
         trace = random_fleet(jobs=1, seed=6)[0]
