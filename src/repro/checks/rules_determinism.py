@@ -12,7 +12,10 @@ serial ≡ parallel bit-equivalence contract makes all three load-bearing):
   :class:`repro.common.rng.SeedSequenceFactory` (or an explicitly seeded
   ``np.random.Generator``); the stdlib ``random`` module and numpy's
   legacy global RNG are process-global mutable state that any import can
-  perturb.
+  perturb.  The builtin ``hash()`` is flagged too: string hashes are
+  salted per process, so anything derived from them (stream indices,
+  orderings) differs between runs; use
+  :func:`repro.common.rng.stable_hash`.
 * **DET003** — in the ``engine/`` and ``kernel/`` hot paths, iterating a
   dict/set view into an *ordered* accumulator is a shard-merge hazard:
   the parallel engine rebuilds those containers per worker, so insertion
@@ -101,6 +104,13 @@ class _UnseededRandomnessVisitor(RuleVisitor):
         self.generic_visit(node)
 
     def _check(self, node: ast.Call, name: str) -> None:
+        if name == "hash":
+            self.report(
+                node,
+                "builtin `hash()` is salted per process (PYTHONHASHSEED); "
+                "use repro.common.rng.stable_hash",
+            )
+            return
         # stdlib random: both random.random() and `from random import x`.
         if name.startswith("random.") and name.count(".") == 1:
             self.report(

@@ -286,11 +286,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.quick:
         kwargs.update(hours=0.5, clusters=2, machines=10, jobs=1,
                       tick_machines=10, tick_jobs=16, tick_ticks=10,
-                      equivalence_hours=0.25, thousand_machines=0)
+                      thousand_machines=0)
     print(f"Benchmarking {kwargs['clusters']} clusters x "
           f"{kwargs['machines']} machines for {kwargs['hours']:g} "
-          f"simulated hours (tick path, equivalence, serial vs "
-          f"parallel)...")
+          f"simulated hours (tick path, serial vs parallel)...")
     report = run_bench(output=args.output, **kwargs)
     tick = report["tick_path"]
     print(render_table(
@@ -306,10 +305,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
               f"{tick['speedup_columnar']:.1f}x, "
               f"equivalent={tick['equivalent']})",
     ))
-    eq = report["equivalence"]
-    print(f"equivalence: scalar == columnar/machine == columnar/cluster "
-          f"over {eq['simulated_hours']:g} h of churn: {eq['equivalent']} "
-          f"({eq['sli_samples']} SLI samples)")
     speedup = report["speedup"]
     speedup_text = "n/a" if speedup is None else f"{speedup:.2f}x"
     print(render_table(
@@ -704,24 +699,6 @@ def cmd_ci(args: argparse.Namespace) -> int:
             print("ci: trace bench smoke passed "
                   f"(peak-mem ratio {report['peak_mem_ratio']:.3f})")
     if exit_code == 0 and not args.skip_bench:
-        # And for the fleet kernel: the columnar backends (machine- and
-        # cluster-pooled) must replay a churning fleet bit-identically
-        # to the scalar oracle.  Equivalence only — never timing.
-        from repro.engine.bench import columnar_equivalence
-
-        print("ci: running columnar kernel equivalence smoke ...")
-        report = columnar_equivalence(clusters=1, machines=2, jobs=4,
-                                      hours=0.25)
-        if not report["equivalent"]:
-            print("ci: columnar equivalence smoke FAILED "
-                  "(pooled kernel diverged from the scalar oracle)",
-                  file=sys.stderr)
-            exit_code = 1
-        else:
-            print("ci: columnar equivalence smoke passed "
-                  f"({report['sli_samples']} SLI samples identical "
-                  "across scalar, machine-pooled, cluster-pooled)")
-    if exit_code == 0 and not args.skip_bench:
         # Zero-copy telemetry: blocks gathered from pool columns must
         # leave byte-identical stores to the per-entry object oracle,
         # serial and parallel.  Equivalence only — never timing.
@@ -991,7 +968,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "rules still run")
     p.add_argument("--skip-bench", action="store_true",
                    help="skip the quick equivalence smokes (model bench, "
-                        "trace bench, columnar kernel)")
+                        "trace bench, zero-copy telemetry, canary)")
     p.add_argument("pytest_args", nargs=argparse.REMAINDER,
                    help="extra arguments forwarded to pytest verbatim "
                         "(put them after any ci flags)")

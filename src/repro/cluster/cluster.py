@@ -15,8 +15,8 @@ from repro.agent.node_agent import NodeAgent, SliSample
 from repro.agent.telemetry import TelemetryExporter
 from repro.common.errors import OutOfMemoryError, SchedulingError
 from repro.common.events import EventKind, EventLog
-from repro.common.rng import SeedSequenceFactory
-from repro.common.simtime import DEFAULT_TICK_SECONDS, Clock, PeriodicSchedule
+from repro.common.rng import SeedSequenceFactory, stable_hash
+from repro.common.simtime import DEFAULT_TICK_SECONDS, Clock
 from repro.common.units import MIN_COLD_AGE_THRESHOLD
 from repro.common.validation import check_positive
 from repro.core.coverage import CoverageSample
@@ -30,8 +30,7 @@ from repro.core.threshold_policy import (
 from repro.cluster.job import RunningJob
 from repro.cluster.scheduler import BorgScheduler
 from repro.cluster.trace_db import TraceDatabase
-from repro.kernel.columnar import MachinePagePool
-from repro.kernel.machine import FarMemoryMode, Machine, MachineConfig
+from repro.kernel.machine import Machine, MachineConfig
 from repro.obs import (
     MetricName,
     MetricRegistry,
@@ -50,6 +49,9 @@ COVERAGE_SAMPLE_PERIOD = 300
 class Cluster:
     """One named cluster of machines under a single scheduler.
 
+    Each machine owns its page state and runs its own kstaled and
+    kreclaimd; the cluster only sequences them on the common clock.
+
     Args:
         name: cluster name (e.g. ``"cluster-00"``).
         n_machines: machines to create.
@@ -64,14 +66,6 @@ class Cluster:
         bins: candidate-threshold grid; defaults to the paper grid.
         overcommit: scheduler memory overcommit fraction.
         placement: scheduler strategy ("best_fit" or "spread").
-        pool_scope: with the columnar kernel, where the page pool lives —
-            ``"machine"`` (default: each machine owns a private
-            :class:`~repro.kernel.columnar.MachinePagePool`) or
-            ``"cluster"`` (one pool shared by every machine; the cluster
-            scans and reclaims all of them in single pooled sweeps,
-            amortizing the per-machine numpy dispatch across the whole
-            engine shard).  Bit-equivalent by contract; ignored for the
-            scalar kernel.
         control_period: seconds between node-agent control rounds
             (default: one minute, the paper's cadence).  Dense
             simulation configs stretch it to trade SLI sampling
@@ -96,16 +90,11 @@ class Cluster:
         bins: Optional[AgeBins] = None,
         overcommit: float = 0.0,
         placement: str = "best_fit",
-        pool_scope: str = "machine",
         control_period: Optional[int] = None,
         registry: Optional[MetricRegistry] = None,
         tracer: Optional[Tracer] = None,
     ):
         check_positive(n_machines, "n_machines")
-        if pool_scope not in ("machine", "cluster"):
-            raise ValueError(
-                f'pool_scope must be "machine" or "cluster", got {pool_scope!r}'
-            )
         self.name = name
         self.seeds = seeds
         self.bins = bins if bins is not None else default_age_bins()
@@ -121,17 +110,6 @@ class Cluster:
 
         self._wire_event_bridge()
 
-        #: Cluster-scoped columnar pool (None = per-machine pools or the
-        #: scalar kernel).  Shared by every machine below; the cluster
-        #: drives the pooled scan/reclaim passes from :meth:`tick`.
-        self.pool: Optional[MachinePagePool] = None
-        self._scan_schedule: Optional[PeriodicSchedule] = None
-        if pool_scope == "cluster" and machine_config.kernel == "columnar":
-            self.pool = MachinePagePool(self.bins, machine_config.scan_period)
-            # Mirrors the schedule each machine's kstaled would follow, so
-            # pooled scans land at exactly the per-machine scan instants.
-            self._scan_schedule = PeriodicSchedule(machine_config.scan_period)
-
         self.machines: List[Machine] = [
             Machine(
                 machine_id=f"{name}/m{i:04d}",
@@ -141,7 +119,6 @@ class Cluster:
                 events=self.events,
                 registry=self.registry,
                 tracer=self.tracer,
-                pool=self.pool,
             )
             for i in range(n_machines)
         ]
@@ -314,7 +291,7 @@ class Cluster:
                 break
 
     def _job_index(self, spec: JobSpec) -> int:
-        return abs(hash(spec.job_id)) & 0x7FFFFFFF
+        return abs(stable_hash(spec.job_id)) & 0x7FFFFFFF
 
     def _cpu_of(self, job_id: str) -> float:
         try:
@@ -354,25 +331,12 @@ class Cluster:
             for job in self.running.values():
                 job.step(now, self.clock.tick_seconds)
 
-            self._pooled_scan(now)
             for machine in self.machines:
                 machine.tick(now)
                 self._relieve_pressure(machine, now)
 
-            if self.pool is None:
-                for agent in self.agents.values():
-                    agent.maybe_control(now)
-            else:
-                # Agents publish thresholds as usual but skip their
-                # per-machine reclaim (Machine.run_reclaim no-ops on a
-                # shared pool); one pooled pass then reclaims for every
-                # machine that just controlled.
-                controlled = [
-                    machine
-                    for machine in self.machines
-                    if self.agents[machine.machine_id].maybe_control(now)
-                ]
-                self._pooled_reclaim(controlled)
+            for agent in self.agents.values():
+                agent.maybe_control(now)
             for exporter in self.exporters.values():
                 exporter.maybe_export(now)
 
@@ -381,62 +345,6 @@ class Cluster:
                 self._next_coverage_sample = now + COVERAGE_SAMPLE_PERIOD
 
         self.clock.advance()
-
-    def _pooled_scan(self, now: int) -> None:
-        """One kstaled pass for the whole cluster (cluster-scoped pool).
-
-        Equivalent to every machine scanning on its own tick — scans on
-        different machines touch disjoint pool segments and each memcg
-        draws from its own RNG stream, so hoisting them into one sweep
-        changes neither results nor draw sequences.  Pages and CPU cost
-        are booked back to each machine's kstaled so the per-machine
-        counters and metrics match the scalar kernel exactly.
-        """
-        if self._scan_schedule is None or not self._scan_schedule.due(now):
-            return
-        memcgs = [
-            memcg
-            for machine in self.machines
-            for memcg in machine.memcgs.values()
-        ]
-        with self.tracer.span("kstaled.scan", sim_time=now):
-            self.pool.scan_all(memcgs)
-        per_row = self.pool.last_scan_row_pages
-        for machine in self.machines:
-            pages = 0
-            for memcg in machine.memcgs.values():
-                pages += int(per_row[memcg._pool_row])
-            machine.kstaled.record_scan(pages)
-
-    def _pooled_reclaim(self, machines: List[Machine]) -> None:
-        """One reclaim round for every machine whose agent just ran.
-
-        Evaluates the shared pool's candidate mask once, then hands each
-        machine's kreclaimd its own ``(memcg, candidates)`` slice —
-        budgets, LRU ordering, compression, and metrics all stay
-        per-machine, identical to each machine reclaiming alone.
-        """
-        eligible = [
-            machine
-            for machine in machines
-            if machine.config.mode is FarMemoryMode.PROACTIVE
-        ]
-        if not eligible:
-            return
-        pairs = self.pool.reclaim_pairs(
-            [m for machine in eligible for m in machine.memcgs.values()]
-        )
-        index = 0
-        for machine in eligible:
-            own = machine.memcgs
-            mine = []
-            while (
-                index < len(pairs)
-                and own.get(pairs[index][0].job_id) is pairs[index][0]
-            ):
-                mine.append(pairs[index])
-                index += 1
-            machine.kreclaimd.run(own.values(), pairs=mine)
 
     def run(self, seconds: int) -> None:
         """Run the cluster forward by ``seconds``."""

@@ -7,7 +7,7 @@ pattern-space page indices into memcg slot indices on every tick.
 
 from __future__ import annotations
 
-from repro.common.rng import SeedSequenceFactory
+from repro.common.rng import SeedSequenceFactory, stable_hash
 from repro.kernel.machine import Machine
 from repro.workloads.job_generator import JobSpec
 
@@ -34,7 +34,7 @@ class RunningJob:
         self.spec = spec
         self.machine = machine
         self.start_time = int(start_time)
-        job_index = abs(hash(spec.job_id)) & 0x7FFFFFFF
+        job_index = abs(stable_hash(spec.job_id)) & 0x7FFFFFFF
         self._pattern_rng = seeds.stream("pattern", job=job_index)
         self._drive_rng = seeds.stream("drive", job=job_index)
         self.pattern = spec.pattern_factory(self._pattern_rng)

@@ -246,7 +246,6 @@ def quickfleet(
     job_pages_range: Optional[tuple] = None,
     mode: FarMemoryMode = FarMemoryMode.PROACTIVE,
     kernel: str = "scalar",
-    pool_scope: str = "machine",
     scan_period: Optional[int] = None,
     control_period: Optional[int] = None,
     policy_config: Optional[object] = None,
@@ -270,12 +269,8 @@ def quickfleet(
             defaults to 4-32 MiB jobs so examples run in seconds.
         mode: far-memory mode for every machine.
         kernel: page-state backend for every machine — ``"scalar"`` or
-            ``"columnar"`` (machine-pooled arrays, bit-equivalent; see
-            :mod:`repro.kernel.columnar`).
-        pool_scope: columnar pool placement — ``"machine"`` (private pool
-            per machine) or ``"cluster"`` (one shared pool per cluster;
-            scans and reclaim batch across all of a cluster's machines).
-            Ignored for the scalar kernel.
+            ``"columnar"`` (one page pool per machine, bit-equivalent;
+            see :mod:`repro.kernel.columnar`).
         scan_period: kstaled period override in seconds (defaults to the
             kernel default, 120 s).
         control_period: node-agent control round period override in
@@ -336,7 +331,6 @@ def quickfleet(
             policy_config=policy_config,
             overcommit=0.0,
             placement=placement,
-            pool_scope=pool_scope,
             control_period=control_period,
             registry=registry,
             tracer=tracer,

@@ -1,23 +1,19 @@
 """The ``repro bench`` throughput harness behind ``BENCH_fleet.json``.
 
-Four sections, all produced by :func:`run_bench`:
+Three sections, all produced by :func:`run_bench`:
 
 * **tick_path** — the same machines ticked through one kstaled/kreclaimd
   cycle per simulated minute, once with the scalar per-page kernel and
   once with the columnar pooled kernel.  This is the number the columnar
   kernel exists for: ticks/sec on the online tick path, with the
   speedup recorded as ``speedup_columnar``.
-* **equivalence** — a full churning simulation run under all three
-  backends (scalar, columnar with per-machine pools, columnar with
-  cluster-scoped pools); ``equivalent`` is true only when coverage
-  reports and complete SLI histories are identical.
 * **serial / parallel** — a hundreds-of-machines fleet timed through the
   serial :meth:`WSC.run` loop and again under :class:`FleetEngine`.
   When the host cannot give the parallel run more than one physical
   core, ``speedup`` is ``null`` and ``note`` says why — a 1-core
   "speedup" is noise, not signal.
 * **thousand_machine_hour** — one simulated hour over a 1,000-machine
-  fleet on a single core via the cluster-pooled columnar kernel,
+  fleet on a single core via the columnar kernel,
   compared against the wall time of the legacy 8-machine scalar bench.
 
 ``docs/performance.md`` explains how to read the output.
@@ -41,7 +37,6 @@ from repro.engine.parallel import FleetEngine, default_worker_count
 from repro.obs import MetricName, MetricRegistry, Tracer
 
 __all__ = [
-    "columnar_equivalence",
     "run_bench",
     "thousand_machine_hour",
     "tick_path_bench",
@@ -49,12 +44,12 @@ __all__ = [
 ]
 
 #: Fleet shape of the original serial-vs-parallel bench; its scalar wall
-#: time is the budget the thousand-machine hour must beat.
+#: time is the reference the thousand-machine hour is compared against.
 _LEGACY_SHAPE = {"clusters": 4, "machines": 2, "jobs": 3, "hours": 2.0}
 
 
 def _build_fleet(clusters: int, machines: int, jobs: int, seed: int,
-                 kernel: str = "scalar", pool_scope: str = "machine"):
+                 kernel: str = "scalar"):
     """The legacy bench workload: 8 GiB machines, 16-64 MiB jobs, churn."""
     return quickfleet(
         clusters=clusters,
@@ -66,14 +61,13 @@ def _build_fleet(clusters: int, machines: int, jobs: int, seed: int,
         job_pages_range=((16 * MIB) // PAGE_SIZE, (64 * MIB) // PAGE_SIZE),
         churn_duration_range=(2 * HOUR, 12 * HOUR),
         kernel=kernel,
-        pool_scope=pool_scope,
         registry=MetricRegistry(),
         tracer=Tracer(),
     )
 
 
 def _build_dense_fleet(clusters: int, machines: int, jobs: int, seed: int,
-                       kernel: str, pool_scope: str = "machine"):
+                       kernel: str):
     """The dense fleet workload: many small machines, mostly-cold jobs.
 
     This is the shape the columnar kernel targets — hundreds to
@@ -93,7 +87,6 @@ def _build_dense_fleet(clusters: int, machines: int, jobs: int, seed: int,
         mean_cold_fraction=0.90,
         job_pages_range=(16, 64),
         kernel=kernel,
-        pool_scope=pool_scope,
         scan_period=240,
         control_period=300,
         registry=MetricRegistry(),
@@ -171,60 +164,6 @@ def tick_path_bench(machines: int = 20, jobs: int = 384, ticks: int = 10,
     }
 
 
-def columnar_equivalence(clusters: int = 2, machines: int = 4,
-                         jobs: int = 12, hours: float = 1.0,
-                         seed: int = 77) -> Dict:
-    """Full-simulation equivalence across all three kernel backends.
-
-    Runs the same churning fleet — job arrivals, node agents, telemetry,
-    the lot — under the scalar kernel, the columnar kernel with
-    per-machine pools, and the columnar kernel with cluster-scoped
-    pools.  ``equivalent`` is true only when all three produce identical
-    coverage reports *and* identical SLI histories, sample by sample.
-    """
-    check_positive(hours, "hours")
-    seconds = int(hours * HOUR)
-    walls: Dict[str, float] = {}
-    snapshots = []
-    for kernel, scope in (("scalar", "machine"),
-                          ("columnar", "machine"),
-                          ("columnar", "cluster")):
-        fleet = quickfleet(
-            clusters=clusters,
-            machines_per_cluster=machines,
-            jobs_per_machine=jobs,
-            seed=seed,
-            machine_dram_gib=1.0,
-            job_pages_range=((1 * MIB) // PAGE_SIZE,
-                             (4 * MIB) // PAGE_SIZE),
-            kernel=kernel,
-            pool_scope=scope,
-            scan_period=60,
-            churn_duration_range=(1800, 7200),
-            registry=MetricRegistry(),
-            tracer=Tracer(),
-        )
-        start = time.perf_counter()
-        fleet.run(seconds)
-        walls[f"{kernel}/{scope}"] = round(time.perf_counter() - start, 3)
-        sli = tuple(
-            (s.job_id, s.time, s.working_set_pages, s.promotions,
-             s.normalized_rate_pct_per_min, s.threshold)
-            for s in fleet.sli_history
-        )
-        snapshots.append((fleet.coverage_report(), sli))
-    return {
-        "clusters": clusters,
-        "machines_per_cluster": machines,
-        "jobs_per_machine": jobs,
-        "simulated_hours": hours,
-        "seed": seed,
-        "wall_seconds": walls,
-        "sli_samples": len(snapshots[0][1]),
-        "equivalent": all(s == snapshots[0] for s in snapshots[1:]),
-    }
-
-
 def _store_bytes(root: Path) -> Dict[str, bytes]:
     """Every file in a trace-store directory, name -> content."""
     return {
@@ -291,7 +230,6 @@ def zero_copy_equivalence(clusters: int = 2, machines: int = 3,
                     job_pages_range=((1 * MIB) // PAGE_SIZE,
                                      (4 * MIB) // PAGE_SIZE),
                     kernel="columnar",
-                    pool_scope="cluster",
                     scan_period=60,
                     churn_duration_range=(1800, 7200),
                     registry=registry,
@@ -350,9 +288,7 @@ def thousand_machine_hour(machines: int = 1000, seed: int = 42,
                           budget_seconds: Optional[float] = None) -> Dict:
     """One simulated hour, ``machines`` machines, one core, columnar.
 
-    Uses cluster-scoped pools (one shared page pool per 100-machine
-    cluster) so each cluster's scan and reclaim run as a handful of
-    array sweeps instead of hundreds of per-machine calls.  When
+    The machines are grouped into 100-machine clusters.  When
     ``budget_seconds`` is given (the legacy 8-machine scalar bench
     wall), ``under_scalar_8_machine_bench`` records whether the
     thousand-machine hour beat it.
@@ -360,7 +296,7 @@ def thousand_machine_hour(machines: int = 1000, seed: int = 42,
     check_positive(machines, "machines")
     clusters = max(1, machines // 100)
     fleet = _build_dense_fleet(clusters, machines // clusters, 1, seed,
-                               kernel="columnar", pool_scope="cluster")
+                               kernel="columnar")
     start = time.perf_counter()
     fleet.run(HOUR, collect_sli=False)
     wall = time.perf_counter() - start
@@ -369,7 +305,6 @@ def thousand_machine_hour(machines: int = 1000, seed: int = 42,
         "jobs_per_machine": 1,
         "simulated_hours": 1.0,
         "kernel": "columnar",
-        "pool_scope": "cluster",
         "scan_period_seconds": 240,
         "control_period_seconds": 300,
         "workers": 1,
@@ -394,7 +329,6 @@ def run_bench(
     tick_machines: int = 20,
     tick_jobs: int = 384,
     tick_ticks: int = 10,
-    equivalence_hours: float = 1.0,
     thousand_machines: int = 1000,
     output: Optional[Union[str, Path]] = None,
 ) -> Dict:
@@ -410,8 +344,6 @@ def run_bench(
             at 4).
         barrier_seconds: engine barrier interval.
         tick_machines / tick_jobs / tick_ticks: tick-path section shape.
-        equivalence_hours: simulated hours for the three-backend
-            equivalence section.
         thousand_machines: machine count for the thousand-machine-hour
             section; 0 skips it (and the legacy reference run it is
             compared against).
@@ -430,21 +362,18 @@ def run_bench(
     seconds = int(hours * HOUR)
 
     tick_path = tick_path_bench(tick_machines, tick_jobs, tick_ticks, seed)
-    equivalence = columnar_equivalence(hours=equivalence_hours, seed=seed + 35)
 
     # Serial vs parallel on the dense hundreds-of-machines fleet.  The
-    # columnar cluster-pooled kernel is the production configuration at
-    # this scale, so that is what both runs use.
+    # columnar kernel is the production configuration at this scale, so
+    # that is what both runs use.
     serial_fleet = _build_dense_fleet(clusters, machines, jobs, seed,
-                                      kernel="columnar",
-                                      pool_scope="cluster")
+                                      kernel="columnar")
     start = time.perf_counter()
     serial_fleet.run(seconds)
     serial_wall = time.perf_counter() - start
 
     parallel_fleet = _build_dense_fleet(clusters, machines, jobs, seed,
-                                        kernel="columnar",
-                                        pool_scope="cluster")
+                                        kernel="columnar")
     engine = FleetEngine(parallel_fleet, workers=workers,
                          barrier_seconds=barrier_seconds)
     start = time.perf_counter()
@@ -488,7 +417,6 @@ def run_bench(
             "simulated_hours": hours,
             "seed": seed,
             "kernel": "columnar",
-            "pool_scope": "cluster",
         },
         "host": {
             "physical_cores": host_cores,
@@ -497,7 +425,6 @@ def run_bench(
         "barrier_seconds": barrier_seconds,
         "ticks": stats.ticks,
         "tick_path": tick_path,
-        "equivalence": equivalence,
         "serial": {
             "wall_seconds": round(serial_wall, 3),
             "ticks_per_second": round(stats.ticks / serial_wall, 2),
@@ -515,9 +442,7 @@ def run_bench(
         "speedup": speedup,
         "note": note,
         "thousand_machine_hour": thousand,
-        "equivalent": (tick_path["equivalent"]
-                       and equivalence["equivalent"]
-                       and parallel_equivalent),
+        "equivalent": tick_path["equivalent"] and parallel_equivalent,
     }
     if output is not None:
         Path(output).write_text(

@@ -4,9 +4,10 @@ Design (and why it is deterministic):
 
 * **Fork, not spawn.**  Workers are forked per :meth:`FleetEngine.run`
   call, so each worker inherits a copy-on-write image of the fleet —
-  including every in-flight numpy RNG state and the process hash salt
-  that :meth:`Cluster._job_index` depends on.  A cluster therefore draws
-  exactly the random stream it would have drawn serially; the per-cluster
+  including every in-flight numpy RNG state.  Job and machine ids become
+  stream indices through :func:`repro.common.rng.stable_hash`, which no
+  process salts.  A cluster therefore draws exactly the random stream it
+  would have drawn serially; the per-cluster
   ``SeedSequenceFactory`` forks (``seeds.fork("cluster", index=c)``) make
   those streams independent of shard assignment by construction.
 

@@ -1,4 +1,4 @@
-"""The columnar fleet kernel: machine-pooled page state (ROADMAP item 1).
+"""The columnar fleet kernel: machine-pooled page state.
 
 The scalar kernel keeps one set of numpy arrays per memcg, so every tick
 pays a Python dispatch per memcg — ~30 array ops per ``scan_update``, the
@@ -27,7 +27,9 @@ array ops; the scalar kernel remains the bit-equivalence oracle, exactly
 as the scalar ``_replay_one_job`` loop oracles the model's fleet-wide
 array replay.
 
-Select the backend with ``MachineConfig(kernel="columnar")``; everything
+Every machine owns exactly one pool, which its own kstaled scans and its
+own kreclaimd reclaims — the paper's per-machine daemons (§5.1).  Select
+the backend with ``MachineConfig(kernel="columnar")``; everything
 downstream (node agent, telemetry, faults, the parallel engine) is
 unaware of the layout.
 """
@@ -119,7 +121,6 @@ COLUMN_CONTRACTS = {
     "MachinePagePool.promo_counts": {"dtype": "int64", "ndim": 2},
     "MachinePagePool.promo_young": {"dtype": "int64", "ndim": 1},
     "MachinePagePool.row_reclaim_thr": {"dtype": "int64", "ndim": 1},
-    "MachinePagePool.last_scan_row_pages": {"dtype": "int64", "ndim": 1},
 }
 
 
@@ -241,10 +242,6 @@ class MachinePagePool:
         self.row_reclaim_thr = np.full(0, _NEVER_SCANS, dtype=np.int64)
         self.row_memcg: List[Optional[ColumnarMemCg]] = []
         self._free_rows: List[int] = []
-        #: Per-row resident-page counts from the most recent
-        #: :meth:`scan_all` — the cluster layer reads these to book scan
-        #: pages back to each machine when the pool is cluster-scoped.
-        self.last_scan_row_pages = np.zeros(0, dtype=np.int64)
 
         #: Age (in scans) -> histogram bin; shared by every segment since
         #: the scan period is a machine-level parameter.
@@ -345,22 +342,11 @@ class MachinePagePool:
             )
         self.row_reclaim_thr[memcg._pool_row] = encoded
 
-    #: True while the memcg views may alias dead storage (set on pickle,
-    #: cleared by :meth:`rebind_all`).  Lets the many machines sharing a
-    #: cluster-scoped pool rebind it exactly once after unpickling.
-    _views_stale = False
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_views_stale"] = True
-        return state
-
     def rebind_all(self) -> None:
         """Rebind every live memcg (after unpickling or storage growth)."""
         for memcg in self.row_memcg:
             if memcg is not None:
                 self.bind(memcg)
-        self._views_stale = False
 
     def _rebind_from(self, floor_base: int) -> None:
         for memcg in self.row_memcg:
@@ -483,8 +469,7 @@ class MachinePagePool:
         # (segments are contiguous; np.repeat builds the concatenated
         # ranges) and reduce each segment with one prefix sum — the cost
         # is O(pages owned by ``rows``), matching the scalar per-memcg
-        # ``count_nonzero`` walk even when other machines' segments share
-        # a cluster-scoped pool.
+        # ``count_nonzero`` walk.
         bases = self.row_base[rows]
         sizes = self.row_size[rows]
         ends = np.cumsum(sizes)
@@ -537,7 +522,6 @@ class MachinePagePool:
             verify_column_contracts(self, COLUMN_CONTRACTS, where="scan_all")
         u = self.used
         if u == 0:
-            self.last_scan_row_pages = np.zeros(self._row_cap, dtype=np.int64)
             return 0
         res = self.resident[:u]
         accessed = self.accessed[:u]
@@ -613,13 +597,7 @@ class MachinePagePool:
         if invariants_enabled():
             for memcg in memcg_list:
                 check_memcg_histogram(memcg)
-        # Per-row resident counts: what the scalar kernel books as
-        # ``pages_scanned`` per memcg.  Kept for the cluster layer, which
-        # attributes one pooled scan back to many machines' kstaleds.
-        self.last_scan_row_pages = np.bincount(
-            self.owner_row[:u][res], minlength=self._row_cap
-        )
-        return int(self.last_scan_row_pages.sum())
+        return int(np.count_nonzero(res))
 
     def _propagate_huge_bits_pooled(self, u: int, res: np.ndarray) -> None:
         """Share accessed/dirty bits within every huge mapping at once.

@@ -83,7 +83,6 @@ class Kreclaimd:
         self,
         memcgs: Iterable[MemCg],
         pool: Optional["MachinePagePool"] = None,
-        pairs: Optional[Iterable[Tuple[MemCg, np.ndarray]]] = None,
     ) -> int:
         """One reclaim pass; returns pages moved to far memory.
 
@@ -92,28 +91,12 @@ class Kreclaimd:
         oldest first, and compress within the remaining budget.  With a
         columnar ``pool``, candidate collection runs as one machine-wide
         mask pass instead of per-memcg array work; ordering, budgeting and
-        compression are identical either way.  ``pairs`` supplies
-        pre-computed ``(memcg, candidates)`` pairs instead — the cluster
-        layer uses it to evaluate one shared cluster-scoped pool mask and
-        hand each machine its slice, keeping budget and metrics
-        per-machine.
+        compression are identical either way.
         """
-        if pairs is not None and isinstance(pairs, list) and not pairs:
-            # Nothing eligible this pass.  Book the run (the scalar path
-            # books empty passes too) without paying for span and stream
-            # setup — at cluster scope most machines hit this every round.
-            self.runs += 1
-            self._m_runs.inc()
-            return 0
         budget = self.pages_per_run
         moved = 0
-        stream = (
-            iter(pairs)
-            if pairs is not None
-            else self._candidate_stream(memcgs, pool)
-        )
         with self._tracer.span("kreclaimd.run"):
-            for memcg, candidates in stream:
+            for memcg, candidates in self._candidate_stream(memcgs, pool):
                 # LRU walk order: inactive list first, oldest first.
                 candidates = memcg.reclaim_order(candidates)
                 if budget is not None:

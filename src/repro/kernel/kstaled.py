@@ -121,16 +121,6 @@ class Kstaled:
             for memcg in memcgs:
                 memcg.scan_update()
                 pages += memcg.resident_pages
-        self.record_scan(pages)
-
-    def record_scan(self, pages: int) -> None:
-        """Book one completed scan of ``pages`` resident pages.
-
-        Used by :meth:`scan` and by the cluster layer when a shared
-        cluster-scoped pool runs the scan externally: the sweep happens
-        once for all machines, but each machine's kstaled still accounts
-        its own pages, CPU cost, and metrics.
-        """
         self.pages_scanned += pages
         self.cpu_seconds += pages * SCAN_SECONDS_PER_PAGE
         self.scans_completed += 1

@@ -23,7 +23,7 @@ import numpy as np
 from repro.checks.invariants import check_machine_accounting, invariants_enabled
 from repro.common.errors import OutOfMemoryError, SimulationError
 from repro.common.events import EventKind, EventLog
-from repro.common.rng import SeedSequenceFactory
+from repro.common.rng import SeedSequenceFactory, stable_hash
 from repro.common.units import KSTALED_SCAN_PERIOD, PAGE_SIZE
 from repro.common.validation import check_positive, require
 from repro.core.histograms import AgeBins, default_age_bins
@@ -116,14 +116,6 @@ class Machine:
             with this machine's id as the ``machine`` label (defaults to
             the process-global registry).
         tracer: span tracer for the daemons (defaults to the global one).
-        pool: an externally owned cluster-scoped
-            :class:`~repro.kernel.columnar.MachinePagePool` shared by
-            every machine in a cluster (requires ``kernel="columnar"``).
-            A shared pool changes who *drives* the kernel fast paths —
-            the cluster scans and reclaims all machines in one pooled
-            sweep — but not their results: accounting falls back to the
-            per-memcg view reductions, which are bit-identical.  Omitted
-            (the default), a columnar machine owns a private pool.
     """
 
     def __init__(
@@ -135,7 +127,6 @@ class Machine:
         events: Optional[EventLog] = None,
         registry: Optional[MetricRegistry] = None,
         tracer: Optional[Tracer] = None,
-        pool: Optional[MachinePagePool] = None,
     ):
         self.machine_id = machine_id
         self.config = config
@@ -147,24 +138,12 @@ class Machine:
 
         self.memcgs: Dict[str, MemCg] = {}
         #: Columnar backend: the page pool holding this machine's memcg
-        #: segments (None = scalar).  ``pool_shared`` marks a
-        #: cluster-scoped pool: segments of *other* machines live in the
-        #: same arrays, so machine-wide reductions, scans, and reclaim
-        #: must not sweep the whole pool from here.
-        if pool is not None:
-            require(
-                config.kernel == "columnar",
-                "a shared pool requires the columnar kernel",
-            )
-            self.pool: Optional[MachinePagePool] = pool
-            self.pool_shared = True
-        else:
-            self.pool = (
-                MachinePagePool(self.bins, config.scan_period)
-                if config.kernel == "columnar"
-                else None
-            )
-            self.pool_shared = False
+        #: segments (None = scalar).
+        self.pool: Optional[MachinePagePool] = (
+            MachinePagePool(self.bins, config.scan_period)
+            if config.kernel == "columnar"
+            else None
+        )
         self.arena = ZsmallocArena(machine_id=machine_id,
                                    registry=self.registry,
                                    tracer=self.tracer)
@@ -227,20 +206,10 @@ class Machine:
     # ------------------------------------------------------------------
 
     @property
-    def _private_pool(self) -> Optional[MachinePagePool]:
-        """The pool, when whole-pool sweeps equal machine-wide answers.
-
-        A cluster-scoped pool also holds other machines' segments, so the
-        accounting reductions fall back to per-memcg sums over the views
-        (same arithmetic, restricted to this machine's segments).
-        """
-        return None if self.pool_shared else self.pool
-
-    @property
     def near_bytes(self) -> int:
         """DRAM used by uncompressed pages."""
-        if self._private_pool is not None:
-            return self._private_pool.near_pages() * PAGE_SIZE
+        if self.pool is not None:
+            return self.pool.near_pages() * PAGE_SIZE
         total = 0
         for memcg in self.memcgs.values():
             total += memcg.near_pages
@@ -259,8 +228,8 @@ class Machine:
     @property
     def far_pages(self) -> int:
         """Pages currently stored compressed, machine-wide."""
-        if self._private_pool is not None:
-            return self._private_pool.far_pages()
+        if self.pool is not None:
+            return self.pool.far_pages()
         total = 0
         for memcg in self.memcgs.values():
             total += memcg.far_pages
@@ -272,8 +241,8 @@ class Machine:
 
     def cold_pages(self, threshold_seconds: float) -> int:
         """Machine-wide pages idle at least ``threshold_seconds``."""
-        if self._private_pool is not None:
-            return self._private_pool.cold_pages(threshold_seconds)
+        if self.pool is not None:
+            return self.pool.cold_pages(threshold_seconds)
         return sum(
             m.cold_pages(threshold_seconds) for m in self.memcgs.values()
         )
@@ -297,8 +266,11 @@ class Machine:
             capacity_pages=capacity_pages,
             content_profile=profile,
             bins=self.bins,
-            rng=self._seeds.stream("payload", machine=hash(self.machine_id) & 0xFFFF,
-                                   job=hash(job_id) & 0xFFFFFF),
+            rng=self._seeds.stream(
+                "payload",
+                machine=stable_hash(self.machine_id) & 0xFFFF,
+                job=stable_hash(job_id) & 0xFFFFFF,
+            ),
             scan_period=self.config.scan_period,
         )
         if self.pool is not None:
@@ -394,26 +366,15 @@ class Machine:
         """
         require(now >= self.now, "time went backwards")
         self.now = now
-        if not self.pool_shared:
-            # With a cluster-scoped pool the cluster runs one pooled scan
-            # for all machines (Cluster._pooled_scan) and books pages back
-            # via Kstaled.record_scan; scanning here would age everyone
-            # else's segments too.
-            self.kstaled.maybe_scan(now, self.memcgs.values(), pool=self.pool)
+        self.kstaled.maybe_scan(now, self.memcgs.values(), pool=self.pool)
         self._g_arena.set(self.arena.footprint_bytes)
         self._g_far.set(self.far_pages)
         if invariants_enabled():
             check_machine_accounting(self)
 
     def run_reclaim(self) -> int:
-        """One kreclaimd pass (proactive mode only); returns pages moved.
-
-        With a cluster-scoped pool this is a no-op: the cluster batches
-        one reclaim round for every machine whose agent just controlled
-        (:meth:`Cluster._pooled_reclaim`), evaluating the shared candidate
-        mask once instead of per machine.
-        """
-        if self.config.mode is not FarMemoryMode.PROACTIVE or self.pool_shared:
+        """One kreclaimd pass (proactive mode only); returns pages moved."""
+        if self.config.mode is not FarMemoryMode.PROACTIVE:
             return 0
         return self.kreclaimd.run(self.memcgs.values(), pool=self.pool)
 
@@ -421,13 +382,10 @@ class Machine:
         # The parallel engine ships machines by pickle.  Columnar memcgs
         # arrive without their view arrays (see
         # ``ColumnarMemCg.__getstate__``); the pool carries the data, so
-        # rebind every memcg to its segment on this side of the fork.  A
-        # cluster-scoped pool is referenced by many machines; the
-        # staleness flag makes the rebind run once, not once per machine.
+        # rebind every memcg to its segment on this side of the fork.
         self.__dict__.update(state)
-        pool = self.__dict__.get("pool")
-        if pool is not None and getattr(pool, "_views_stale", True):
-            pool.rebind_all()
+        if self.pool is not None:
+            self.pool.rebind_all()
 
     def _memcg(self, job_id: str) -> MemCg:
         memcg = self.memcgs.get(job_id)

@@ -102,40 +102,6 @@ class ModelValidator:
         self._outcomes.append(outcome)
         return outcome
 
-    def record_many(
-        self,
-        configs: Sequence[ThresholdPolicyConfig],
-        live_coverages: Sequence[float],
-        live_p98s: Sequence[float],
-    ) -> List[ConfigOutcome]:
-        """Batched :meth:`record`: one ``evaluate_many`` model call.
-
-        All three sequences pair up positionally and must have equal
-        length; outcomes are recorded in order.
-        """
-        configs = list(configs)
-        if not (len(configs) == len(live_coverages) == len(live_p98s)):
-            raise AutotunerError(
-                f"configs ({len(configs)}), live_coverages "
-                f"({len(live_coverages)}) and live_p98s ({len(live_p98s)}) "
-                "must pair up one-to-one"
-            )
-        outcomes = []
-        reports = self.model.evaluate_many(configs)
-        for config, report, coverage, p98 in zip(
-            configs, reports, live_coverages, live_p98s
-        ):
-            outcome = ConfigOutcome(
-                config=config,
-                model_cold_pages=report.total_cold_pages,
-                model_p98=report.promotion_rate_p98,
-                live_coverage=float(coverage),
-                live_p98=float(p98),
-            )
-            self._outcomes.append(outcome)
-            outcomes.append(outcome)
-        return outcomes
-
     def report(self) -> ValidationReport:
         """Compute the rank-agreement report.
 

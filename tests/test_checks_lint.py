@@ -83,6 +83,12 @@ class TestDet002:
     def test_negative(self):
         assert lint(FIXTURES / "det002_ok.py", "DET002") == []
 
+    def test_builtin_hash(self):
+        findings = lint(FIXTURES / "det002_hash_bad.py", "DET002")
+        assert len(findings) == 1
+        assert "stable_hash" in findings[0].message
+        assert lint(FIXTURES / "det002_hash_ok.py", "DET002") == []
+
 
 class TestDet003:
     def test_positive(self):

@@ -137,7 +137,6 @@ class TestExecution:
         assert report["equivalent"]
         assert report["tick_path"]["equivalent"]
         assert report["tick_path"]["columnar"]["ticks_per_second"] > 0
-        assert report["equivalence"]["equivalent"]
         assert report["serial"]["ticks_per_second"] > 0
         assert report["parallel"]["ticks_per_second"] > 0
         assert report["host"]["physical_cores"] >= 1

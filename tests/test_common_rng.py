@@ -1,10 +1,15 @@
 """Deterministic RNG stream derivation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.common.rng import SeedSequenceFactory, stream
+from repro.common.rng import SeedSequenceFactory, stable_hash, stream
 
 
 def test_same_name_same_stream():
@@ -70,3 +75,88 @@ def test_stream_shorthand():
         stream(5, "a", k=1).random(4),
         SeedSequenceFactory(5).stream("a", k=1).random(4),
     )
+
+
+# ----------------------------------------------------------------------
+# stable_hash: ids -> stream indices, identical in every process
+# ----------------------------------------------------------------------
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: A seeded fleet run whose result depends on every id-derived stream:
+#: payload sizes (machine and job ids) and access patterns (job ids).
+_DIGEST_SCRIPT = """
+from repro.cluster.wsc import quickfleet
+from repro.obs import MetricRegistry, Tracer
+
+fleet = quickfleet(clusters=1, machines_per_cluster=2, jobs_per_machine=3,
+                   seed=5, machine_dram_gib=0.5,
+                   registry=MetricRegistry(), tracer=Tracer())
+fleet.run(1800)
+payload = 0
+for machine in fleet.machines:
+    for memcg in machine.memcgs.values():
+        payload += int(memcg.payload_bytes[memcg.resident].sum())
+promoted = sum(
+    job.promotions_total
+    for cluster in fleet.clusters for job in cluster.running.values()
+)
+print(payload, promoted)
+"""
+
+
+def _run_python(code: str, hash_seed: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(_SRC), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+
+
+def test_seeded_run_is_independent_of_hash_salt():
+    digests = []
+    for hash_seed in ("1", "2"):
+        proc = _run_python(_DIGEST_SCRIPT, hash_seed)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
+    assert int(digests[0].split()[0]) > 0
+
+
+def test_stable_hash_known_values():
+    assert stable_hash("") == 0
+    # Every value is a signed 64-bit int, and -1 (CPython's error
+    # sentinel) never occurs.
+    for s in ("a", "cluster-00/m0000", "job-000123", "é", "x" * 8, "y" * 17):
+        h = stable_hash(s)
+        assert -(1 << 63) <= h < (1 << 63)
+        assert h != -1
+    assert stable_hash("job-000123") == stable_hash("job-000123")
+    assert stable_hash("job-000123") != stable_hash("job-000124")
+
+
+_PROPERTY_SCRIPT = """
+from hypothesis import given, settings, strategies as st
+from repro.common.rng import stable_hash
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.text(alphabet=st.characters(max_codepoint=127), max_size=64))
+def check(s):
+    assert stable_hash(s) == hash(s), s
+
+check()
+print("ok")
+"""
+
+
+@pytest.mark.skipif(
+    sys.hash_info.algorithm != "siphash13",
+    reason="stable_hash mirrors CPython's SipHash-1-3 string hash",
+)
+def test_stable_hash_equals_unsalted_builtin_hash_for_ascii():
+    proc = _run_python(_PROPERTY_SCRIPT, "0")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -5,10 +5,10 @@ The columnar backend (:mod:`repro.kernel.columnar`) promises
 promotion, huge-page propagation, churn and compaction must all produce
 exactly the per-page state, histograms, and daemon counters the scalar
 kernel produces.  These tests drive both backends through identical
-randomized operation scripts — at machine scope and at cluster scope
-(one shared pool, scanned and reclaimed the way ``Cluster`` drives it) —
-and assert full-state equality along the way.  A chaos scenario at the
-engine level checks the same property end to end.
+randomized operation scripts — one machine, and two machines each with
+its own pool — and assert full-state equality along the way.  A chaos
+scenario at the engine level checks the same property end to end, and
+a churning cluster's per-machine daemon counters must agree too.
 
 Two helper contracts promised elsewhere are property-tested here too:
 ``_sorted_percentile`` is bit-identical to ``np.percentile`` and the
@@ -23,7 +23,6 @@ import pytest
 
 from repro.cluster.wsc import quickfleet
 from repro.common.rng import SeedSequenceFactory
-from repro.common.simtime import PeriodicSchedule
 from repro.common.units import MIB, PAGE_SIZE
 from repro.core.threshold_policy import _sorted_percentile
 from repro.faults import attach_scenario
@@ -49,7 +48,7 @@ _PAGE_ATTRS = (
 )
 
 
-def _make_machine(kernel, index, seed, shared_pool=None, dram=64 * MIB):
+def _make_machine(kernel, index, seed, dram=64 * MIB):
     """A machine whose RNG streams depend only on (index, seed), so a
     scalar machine and its columnar twin draw identical sequences."""
     config = MachineConfig(
@@ -64,7 +63,6 @@ def _make_machine(kernel, index, seed, shared_pool=None, dram=64 * MIB):
         seeds=SeedSequenceFactory(seed * 1000 + index),
         registry=MetricRegistry(),
         tracer=Tracer(),
-        pool=shared_pool,
     )
 
 
@@ -104,9 +102,7 @@ def _machine_state(machine):
 
 
 class _Backend:
-    """A list of machines ticked and reclaimed the standalone way
-    (each machine drives its own kstaled/kreclaimd — the scalar kernel
-    and the columnar kernel with private per-machine pools)."""
+    """A list of machines, each driving its own kstaled/kreclaimd."""
 
     def __init__(self, machines):
         self.machines = machines
@@ -121,56 +117,6 @@ class _Backend:
 
     def state(self):
         return [_machine_state(machine) for machine in self.machines]
-
-
-class _PooledBackend(_Backend):
-    """Machines sharing one cluster-scoped pool, driven exactly the way
-    ``Cluster._pooled_scan`` / ``Cluster._pooled_reclaim`` drive them:
-    one pool-wide scan booked back per machine, one pool-wide candidate
-    mask sliced back to each machine's kreclaimd."""
-
-    def __init__(self, machines, pool):
-        super().__init__(machines)
-        self.pool = pool
-        self._schedule = PeriodicSchedule(SCAN_PERIOD)
-
-    def tick(self, now):
-        if self._schedule.due(now):
-            memcgs = [
-                memcg
-                for machine in self.machines
-                for memcg in machine.memcgs.values()
-            ]
-            self.pool.scan_all(memcgs)
-            per_row = self.pool.last_scan_row_pages
-            for machine in self.machines:
-                pages = sum(
-                    int(per_row[memcg._pool_row])
-                    for memcg in machine.memcgs.values()
-                )
-                machine.kstaled.record_scan(pages)
-        for machine in self.machines:
-            machine.tick(now)
-
-    def reclaim(self):
-        pairs = self.pool.reclaim_pairs(
-            [
-                memcg
-                for machine in self.machines
-                for memcg in machine.memcgs.values()
-            ]
-        )
-        index = 0
-        for machine in self.machines:
-            own = machine.memcgs
-            mine = []
-            while (
-                index < len(pairs)
-                and own.get(pairs[index][0].job_id) is pairs[index][0]
-            ):
-                mine.append(pairs[index])
-                index += 1
-            machine.kreclaimd.run(own.values(), pairs=mine)
 
 
 def _apply_random_ops(rng, oracle, candidate, steps):
@@ -287,19 +233,16 @@ class TestRandomizedEquivalence:
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_cluster_scope(self, seed):
+        """Two machines, each with its own pool: operations on one
+        machine never disturb the other's state or counters."""
         rng = np.random.default_rng(seed)
         oracle = _Backend(
             [_make_machine("scalar", i, seed) for i in range(2)]
         )
-        scalars = oracle.machines
-        pool = MachinePagePool(scalars[0].bins, SCAN_PERIOD)
-        candidate = _PooledBackend(
-            [
-                _make_machine("columnar", i, seed, shared_pool=pool)
-                for i in range(2)
-            ],
-            pool,
+        candidate = _Backend(
+            [_make_machine("columnar", i, seed) for i in range(2)]
         )
+        assert candidate.machines[0].pool is not candidate.machines[1].pool
         _apply_random_ops(rng, oracle, candidate, steps=100)
 
 
@@ -372,11 +315,7 @@ class TestChaosReplay:
 
     def test_mixed_scenario_identical_across_backends(self):
         snapshots = []
-        for kernel, scope in (
-            ("scalar", "machine"),
-            ("columnar", "machine"),
-            ("columnar", "cluster"),
-        ):
+        for kernel in ("scalar", "columnar"):
             fleet = quickfleet(
                 clusters=1,
                 machines_per_cluster=3,
@@ -387,7 +326,6 @@ class TestChaosReplay:
                     (1 * MIB) // PAGE_SIZE, (4 * MIB) // PAGE_SIZE
                 ),
                 kernel=kernel,
-                pool_scope=scope,
                 scan_period=60,
                 churn_duration_range=(1800, 5400),
                 registry=MetricRegistry(),
@@ -403,12 +341,51 @@ class TestChaosReplay:
             snapshots.append((fleet.coverage_report(), sli))
         assert len(snapshots[0][1]) > 0
         assert snapshots[1] == snapshots[0]
-        assert snapshots[2] == snapshots[0]
 
 
-class TestSharedPoolPickle:
-    """The parallel engine ships clusters by pickle; a cluster-scoped
-    pool must rebind its memcg views exactly once on arrival and the
+class TestDaemonCounters:
+    """Every machine's kstaled and kreclaimd book the same work under
+    both kernels on a churning cluster — pages, scans, modelled CPU,
+    runs and pages moved — machine by machine."""
+
+    def test_per_machine_counters_identical_across_kernels(self):
+        counters = {}
+        for kernel in ("scalar", "columnar"):
+            fleet = quickfleet(
+                clusters=1,
+                machines_per_cluster=2,
+                jobs_per_machine=5,
+                seed=17,
+                machine_dram_gib=0.5,
+                job_pages_range=(
+                    (1 * MIB) // PAGE_SIZE, (4 * MIB) // PAGE_SIZE
+                ),
+                kernel=kernel,
+                scan_period=60,
+                churn_duration_range=(900, 2700),
+                registry=MetricRegistry(),
+                tracer=Tracer(),
+            )
+            fleet.run(5400)
+            counters[kernel] = [
+                (
+                    machine.machine_id,
+                    machine.kstaled.pages_scanned,
+                    machine.kstaled.scans_completed,
+                    machine.kstaled.cpu_seconds,
+                    machine.kreclaimd.runs,
+                    machine.kreclaimd.pages_reclaimed,
+                )
+                for machine in fleet.clusters[0].machines
+            ]
+        assert counters["columnar"] == counters["scalar"]
+        for _id, pages, scans, _cpu, runs, moved in counters["scalar"]:
+            assert pages > 0 and scans > 0 and runs > 0 and moved > 0
+
+
+class TestPoolPickle:
+    """The parallel engine ships clusters by pickle; every machine must
+    rebind its own pool's memcg views exactly once on arrival and the
     clone must continue bit-identically."""
 
     def _fleet(self):
@@ -419,13 +396,12 @@ class TestSharedPoolPickle:
             seed=5,
             machine_dram_gib=0.5,
             kernel="columnar",
-            pool_scope="cluster",
             scan_period=60,
             registry=MetricRegistry(),
             tracer=Tracer(),
         )
 
-    def test_unpickle_rebinds_shared_pool_once(self):
+    def test_unpickle_rebinds_each_pool_once(self):
         fleet = self._fleet()
         fleet.run(1800)
         blob = pickle.dumps(fleet.clusters[0])
@@ -441,12 +417,12 @@ class TestSharedPoolPickle:
             clone = pickle.loads(blob)
         finally:
             MachinePagePool.rebind_all = original
-        assert len(calls) == 1  # one pool, many machines: one rebind
-        pool = clone.machines[0].pool
-        assert all(machine.pool is pool for machine in clone.machines)
+        pools = [machine.pool for machine in clone.machines]
+        assert len({id(pool) for pool in pools}) == len(pools)
+        assert sorted(map(id, calls)) == sorted(map(id, pools))
         for machine in clone.machines:
             for memcg in machine.memcgs.values():
-                assert memcg.resident.base is pool.resident
+                assert memcg.resident.base is machine.pool.resident
 
     def test_clone_continues_identically(self):
         fleet = self._fleet()

@@ -688,7 +688,6 @@ class TestBatchAppend:
             fleet = quickfleet(
                 clusters=1, machines_per_cluster=2, jobs_per_machine=4,
                 seed=11, machine_dram_gib=1.0, kernel=kernel,
-                pool_scope="cluster" if kernel == "columnar" else "machine",
                 registry=MetricRegistry(), tracer=Tracer(),
                 trace_db=db,
             )

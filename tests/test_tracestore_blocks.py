@@ -382,7 +382,7 @@ class TestExporterBlockFailure:
 
 class TestSinkOutageColumnarFleet:
     """The sink_outage chaos scenario against the full zero-copy stack:
-    columnar kernel, cluster pool, block-capable columnar store."""
+    columnar kernel, block-capable columnar store."""
 
     DURATION = 2 * HOUR
 
@@ -395,7 +395,6 @@ class TestSinkOutageColumnarFleet:
             jobs_per_machine=3,
             seed=seed,
             kernel="columnar",
-            pool_scope="cluster",
             registry=registry,
             tracer=Tracer(),
             trace_db=db,
