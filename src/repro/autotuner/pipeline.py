@@ -157,8 +157,8 @@ class AutotuningPipeline:
                     for point in points
                 ]
                 # One batched model call per bandit iteration: the fast
-                # model replays the whole suggestion batch in a single
-                # MapReduce over the fleet traces.
+                # model replays the whole suggestion batch over the fleet
+                # tensor, one array pass per configuration.
                 with self._tracer.span("autotuner.evaluate", batch=len(configs)):
                     reports = self.model.evaluate_many(configs)
                 for point, config, report in zip(points, configs, reports):

@@ -6,8 +6,7 @@ serial ≡ parallel bit-equivalence contract makes all three load-bearing):
 * **DET001** — simulation logic must read :class:`repro.common.simtime`
   clocks, never the wall clock.  Wall time is allowed only in the
   observability layer (``obs/``, which *measures* wall time by design)
-  and the throughput harnesses (``engine/bench.py``,
-  ``model/bench.py``).
+  and the fleet throughput harness (``engine/bench.py``).
 * **DET002** — all randomness must flow through
   :class:`repro.common.rng.SeedSequenceFactory` (or an explicitly seeded
   ``np.random.Generator``); the stdlib ``random`` module and numpy's
@@ -92,7 +91,7 @@ class WallClockRule(Rule):
 
     id = "DET001"
     title = "wall-clock read in simulation code"
-    allowlist = ("repro/obs/", "repro/engine/bench.py", "repro/model/bench.py")
+    allowlist = ("repro/obs/", "repro/engine/bench.py")
     visitor_class = _WallClockVisitor
 
 

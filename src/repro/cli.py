@@ -11,10 +11,8 @@ Commands:
 * ``metrics`` — run an instrumented fleet and print the health report,
   or the full metric exposition (``--format prom|json``).
 * ``bench`` — time the same fleet serially and under the parallel
-  engine (``BENCH_fleet.json``), with ``--model`` the fast far memory
-  model scalar-vs-vectorized (``BENCH_model.json``), or with ``--trace``
-  the columnar trace store against the object path
-  (``BENCH_trace.json``).
+  engine (``BENCH_fleet.json``), or with ``--trace`` the columnar trace
+  store against the object path (``BENCH_trace.json``).
 * ``trace`` — inspect and convert columnar trace stores: ``stats``,
   ``window``, ``export``/``import`` (jsonl <-> columnar), ``compact``.
 * ``chaos`` — run a named fault-injection scenario and report the SLO
@@ -263,11 +261,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Throughput comparison: fleet engine (BENCH_fleet.json), the fast
-    far memory model (``--model``, BENCH_model.json), or the columnar
-    trace store (``--trace``, BENCH_trace.json)."""
-    if args.model:
-        return _cmd_bench_model(args)
+    """Throughput comparison: fleet engine (BENCH_fleet.json) or the
+    columnar trace store (``--trace``, BENCH_trace.json)."""
     if args.trace:
         return _cmd_bench_trace(args)
     from repro.engine.bench import run_bench
@@ -335,50 +330,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
                      f"{thousand['under_scalar_8_machine_bench']}")
         print(line)
     print(f"Wrote {args.output}")
-    return 0 if report["equivalent"] else 1
-
-
-def _cmd_bench_model(args: argparse.Namespace) -> int:
-    """The ``repro bench --model`` half: fast-model throughput."""
-    from repro.model.bench import run_model_bench
-
-    kwargs = dict(
-        jobs=args.jobs if args.jobs is not None else 24,
-        intervals=args.intervals,
-        configs=args.configs,
-        workers=args.workers,
-        seed=args.seed,
-    )
-    if args.quick:
-        kwargs.update(jobs=6, intervals=48, configs=4)
-    # The fleet default filename would mislabel a model report.
-    output = args.output
-    if output == "BENCH_fleet.json":
-        output = "BENCH_model.json"
-    print(f"Benchmarking the fast model: {kwargs['jobs']} traces x "
-          f"{kwargs['intervals']} intervals x {kwargs['configs']} configs "
-          f"(scalar per-config, then batched vectorized)...")
-    report = run_model_bench(output=output, **kwargs)
-    rows = [
-        ("scalar per-config", f"{report['scalar']['wall_seconds']:.2f}",
-         f"{report['scalar']['configs_per_second']:.2f}"),
-        ("batched vectorized", f"{report['vectorized']['wall_seconds']:.2f}",
-         f"{report['vectorized']['configs_per_second']:.2f}"),
-    ]
-    if report["parallel"] is not None:
-        rows.append(
-            (f"vectorized x{report['parallel']['workers']}",
-             f"{report['parallel']['wall_seconds']:.2f}",
-             f"{report['parallel']['configs_per_second']:.2f}")
-        )
-    print(render_table(
-        ["", "wall s", "configs/s"],
-        rows,
-        title=f"Model throughput (speedup "
-              f"{report['speedup_vectorized']:.2f}x, "
-              f"equivalent={report['equivalent']})",
-    ))
-    print(f"Wrote {output}")
     return 0 if report["equivalent"] else 1
 
 
@@ -668,24 +619,9 @@ def cmd_ci(args: argparse.Namespace) -> int:
     )
     exit_code = max(exit_code, cmd_lint(lint_args))
     if exit_code == 0 and not args.skip_bench:
-        # The quick model-bench smoke gates only on scalar==vectorized
-        # equivalence — speedups flake on loaded CI hosts, bit-identical
-        # reports must not.
-        from repro.model.bench import run_model_bench
-
-        print("ci: running model bench smoke (bench --model --quick) ...")
-        report = run_model_bench(jobs=6, intervals=48, configs=4)
-        if not report["equivalent"]:
-            print("ci: model bench smoke FAILED "
-                  "(vectorized replay diverged from the scalar oracle)",
-                  file=sys.stderr)
-            exit_code = 1
-        else:
-            print("ci: model bench smoke passed "
-                  f"(speedup {report['speedup_vectorized']:.2f}x)")
-    if exit_code == 0 and not args.skip_bench:
-        # Same idea for the trace store: gate only on the columnar path
-        # reproducing the object path bit-identically, never on timing.
+        # The trace-store smoke gates only on the columnar path
+        # reproducing the object path bit-identically, never on timing:
+        # speedups flake on loaded CI hosts, bit-identical reports must not.
         from repro.tracestore.bench import run_trace_bench
 
         print("ci: running trace bench smoke (bench --trace --quick) ...")
@@ -814,12 +750,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("bench",
-                       help="fleet, fast-model, or trace-store throughput "
-                            "harness")
-    p.add_argument("--model", action="store_true",
-                   help="benchmark the fast far memory model (scalar "
-                        "per-config vs batched vectorized evaluate_many) "
-                        "instead of the fleet engine")
+                       help="fleet or trace-store throughput harness")
     p.add_argument("--trace", action="store_true",
                    help="benchmark the columnar trace store (ingest "
                         "throughput, compile-from-columns vs the object "
@@ -829,13 +760,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="machines per cluster (fleet section)")
     p.add_argument("--jobs", type=int, default=None,
                    help="jobs per machine (fleet, default 1) or traces "
-                        "in the synthetic fleet (--model, default 24)")
+                        "in the synthetic fleet (--trace, default 24)")
     p.add_argument("--hours", type=float, default=1.0,
                    help="simulated hours per run")
     p.add_argument("--intervals", type=int, default=288,
-                   help="5-minute periods per trace (--model only)")
+                   help="5-minute periods per trace (--trace only)")
     p.add_argument("--configs", type=int, default=8,
-                   help="configurations per batch (--model only)")
+                   help="configurations per batch (--trace only)")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--workers", type=int, default=None,
                    help="parallel workers (default: min(4, cpus))")
@@ -844,8 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quick", action="store_true",
                    help="small fast configuration (CI smoke run)")
     p.add_argument("--output", default="BENCH_fleet.json",
-                   help="report file (with --model the default becomes "
-                        "BENCH_model.json; with --trace, "
+                   help="report file (with --trace the default becomes "
                         "BENCH_trace.json)")
     p.set_defaults(func=cmd_bench)
 
@@ -967,8 +897,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(FLOW001/FLOW002/CON001/CON002); local per-file "
                         "rules still run")
     p.add_argument("--skip-bench", action="store_true",
-                   help="skip the quick equivalence smokes (model bench, "
-                        "trace bench, zero-copy telemetry, canary)")
+                   help="skip the quick equivalence smokes (trace bench, "
+                        "zero-copy telemetry, canary)")
     p.add_argument("pytest_args", nargs=argparse.REMAINDER,
                    help="extra arguments forwarded to pytest verbatim "
                         "(put them after any ci flags)")

@@ -52,6 +52,7 @@ from repro.checks.invariants import check_merge_delta, invariants_enabled
 from repro.common.errors import ReproError, TraceError
 from repro.common.validation import check_positive, require
 from repro.engine.sharding import ShardPlan, plan_shards
+from repro.model.trace import TelemetryBlock
 from repro.obs import MetricName
 
 __all__ = [
@@ -530,10 +531,6 @@ class FleetEngine:
         caught up to ``ticks_done`` and the current chunk is re-executed
         in-parent, joining this barrier's merge.
         """
-        # Imported here, not at module top: repro.model's package init
-        # pulls in the model bench, which imports this module back.
-        from repro.model.trace import TelemetryBlock
-
         fleet = self.fleet
         sli_batches: List[Tuple[int, int, list]] = []
         trace_entries = []

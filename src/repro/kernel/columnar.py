@@ -23,9 +23,9 @@ bit-identical to the scalar kernel *by construction*.  The pooled fast
 paths (:meth:`MachinePagePool.scan_all`,
 :meth:`MachinePagePool.reclaim_pairs`, the accounting reductions) replay
 the exact per-slot arithmetic of the scalar methods as whole-machine
-array ops; the scalar kernel remains the bit-equivalence oracle, exactly
-as the scalar ``_replay_one_job`` loop oracles the model's fleet-wide
-array replay.
+array ops; the scalar kernel remains the bit-equivalence oracle, much
+as the naive per-interval replay loop under ``tests/`` oracles the
+model's fleet-wide array replay.
 
 Every machine owns exactly one pool, which its own kstaled scans and its
 own kreclaimd reclaims — the paper's per-machine daemons (§5.1).  Select

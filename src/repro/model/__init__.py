@@ -1,7 +1,5 @@
-"""The fast far memory model: trace schema, MapReduce engine, offline replay."""
+"""The fast far memory model: trace schema and offline replay."""
 
-from repro.model.bench import run_model_bench
-from repro.model.mapreduce import MapReduce, mapreduce
 from repro.model.replay import (
     FarMemoryModel,
     FleetReplayReport,
@@ -27,10 +25,7 @@ __all__ = [
     "ValidationReport",
     "FleetReplayReport",
     "JobReplayResult",
-    "MapReduce",
     "TRACE_PERIOD_SECONDS",
     "JobTrace",
     "TraceEntry",
-    "mapreduce",
-    "run_model_bench",
 ]

@@ -15,16 +15,18 @@ The report's two headline numbers mirror the autotuner's problem
 formulation: total cold memory captured (the objective) and the fleet-wide
 98th-percentile normalized promotion rate (the constraint).
 
-Replay of different jobs is independent, so the model runs as a MapReduce
-pipeline (:mod:`repro.model.mapreduce`) whose map tasks each replay a
-contiguous shard of the fleet.  Three optimizations multiply on this path:
+The paper runs this model as a FlumeJava/MapReduce pipeline because replay
+of different jobs is independent.  Here that independence is exploited as
+data parallelism inside one in-process array pass over the whole fleet; a
+process pool measured slower than that pass at every fleet size tried
+(``docs/performance.md``).  Three optimizations multiply on this path:
 
 1. **One fleet-wide array pass** — the compiled traces
-   (:class:`repro.model.trace.CompiledTrace`) of a shard are concatenated
-   once into a fleet tensor with per-job offsets, and each configuration
-   is replayed over the whole tensor in about twenty array operations.
-   The scalar interval-by-interval loop (:func:`_replay_one_job`) stays as
-   the semantic oracle; both produce bit-identical reports.
+   (:class:`repro.model.trace.CompiledTrace`) are concatenated once into a
+   fleet tensor with per-job offsets, and each configuration is replayed
+   over the whole tensor in about twenty array operations.  A naive
+   interval-by-interval reference loop under ``tests/`` is the semantic
+   oracle; both produce bit-identical reports.
 2. **A rolling-count K-th percentile** — a best threshold only ever takes
    one of ``len(bins) + 1`` values (the grid or DISABLED), so the history
    pool of every interval is a row of value counts, read off a cumulative
@@ -33,16 +35,12 @@ contiguous shard of the fleet.  Three optimizations multiply on this path:
    sort and no per-job ``np.percentile`` call.
 3. **Config-independent passes once per model** — the per-interval best
    thresholds and the window counts of each distinct ``history_length``
-   are computed once per model and cached with the fleet tensor; the
-   persistent pool's initializer ships the tensors to each worker once,
-   so successive autotuner batches pay only the per-config passes.
+   are computed once per model and cached with the fleet tensor, so
+   successive autotuner batches pay only the per-config passes.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -50,16 +48,14 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import MINUTE
-from repro.core.slo import PromotionRateSlo, normalized_promotion_rate
+from repro.core.slo import PromotionRateSlo
 from repro.core.threshold_policy import (
     DISABLED,
-    ColdAgeThresholdPolicy,
     ThresholdPolicyConfig,
     best_thresholds_vectorized,
     replay_thresholds_vectorized,
 )
-from repro.model.mapreduce import MapReduce
-from repro.model.trace import TRACE_PERIOD_SECONDS, CompiledTrace, JobTrace
+from repro.model.trace import CompiledTrace, JobTrace
 from repro.obs import MetricName, get_registry, get_tracer, Stopwatch
 
 __all__ = [
@@ -142,53 +138,6 @@ class FleetReplayReport:
         return self.promotion_rate_p98 <= self.slo_target
 
 
-def _replay_one_job(
-    trace: JobTrace,
-    config: ThresholdPolicyConfig,
-    slo: PromotionRateSlo,
-    interval_seconds: int = TRACE_PERIOD_SECONDS,
-) -> JobReplayResult:
-    """Replay the control algorithm over one job's trace (scalar oracle).
-
-    For each interval the threshold chosen from history *before* observing
-    the interval governs it — exactly the online ordering, where the agent
-    publishes a threshold and the next minute runs under it.  This is the
-    reference implementation the fleet-wide replay is proven against.
-    ``interval_seconds`` is the trace's aggregation period (downsampled
-    traces have longer ones).
-    """
-    if not trace.entries:
-        return JobReplayResult(job_id=trace.job_id)
-    n = len(trace.entries)
-    thresholds = np.empty(n)
-    captured = np.empty(n)
-    rates = np.empty(n)
-    policy = ColdAgeThresholdPolicy(config, trace.entries[0].bins, slo)
-    for t, entry in enumerate(trace.entries):
-        threshold = policy.threshold()
-        thresholds[t] = threshold
-        if np.isfinite(threshold):
-            cold = entry.cold_age_histogram.colder_than(threshold)
-            promoted = entry.promotion_histogram.colder_than(threshold)
-        else:
-            cold = 0
-            promoted = 0
-        per_min = promoted * (MINUTE / interval_seconds)
-        captured[t] = cold
-        rates[t] = normalized_promotion_rate(per_min, entry.working_set_pages)
-        policy.observe(
-            entry.promotion_histogram,
-            entry.working_set_pages,
-            interval_seconds,
-        )
-    return JobReplayResult(
-        job_id=trace.job_id,
-        cold_pages_captured=captured,
-        normalized_rates=rates,
-        thresholds=thresholds,
-    )
-
-
 class _TraceGroup:
     """Compiled traces sharing one grid and interval, concatenated.
 
@@ -265,8 +214,8 @@ class _TraceGroup:
 
 
 class _FleetShard:
-    """A contiguous run of compiled traces, replayed in one array pass
-    per group of traces that share a grid and an interval length."""
+    """The compiled traces of a fleet, replayed in one array pass per
+    group of traces that share a grid and an interval length."""
 
     def __init__(self, traces: Sequence[CompiledTrace], slo: PromotionRateSlo):
         self.job_ids = [trace.job_id for trace in traces]
@@ -288,7 +237,7 @@ class _FleetShard:
     def replay(
         self, configs: Sequence[ThresholdPolicyConfig]
     ) -> List[List[JobReplayResult]]:
-        """Per config, the results of every job of the shard in order."""
+        """Per config, the results of every job in fleet order."""
         out = []
         for config in configs:
             arrays = [group.replay(config) for group in self.groups]
@@ -311,80 +260,21 @@ class _FleetShard:
         return out
 
 
-# ----------------------------------------------------------------------
-# Worker-side state for the persistent pool
-# ----------------------------------------------------------------------
-#
-# The pool initializer runs once per worker process and parks the model's
-# replay payload (fleet shards — or raw trace shards for the scalar
-# oracle) in this module-global dict, keyed by a per-model token so
-# several models sharing one process (workers=1 runs in-process) never
-# clobber each other.  Map tasks then carry only ``(shard_index, configs)``.
-# A model pops its token when closed or garbage-collected.
-
-_ReplayPayload = Union[List[_FleetShard], List[List[JobTrace]]]
-_WORKER_STATE: Dict[str, Tuple[_ReplayPayload, PromotionRateSlo]] = {}
-_MODEL_TOKENS = itertools.count()
-
-
-def _init_model_worker(
-    token: str, payload: _ReplayPayload, slo: PromotionRateSlo
-) -> None:
-    """Pool initializer: receive the replay payload once per worker."""
-    _WORKER_STATE[token] = (payload, slo)
-
-
-def _replay_shard_task(
-    task: Tuple[int, List[ThresholdPolicyConfig]],
-    token: str,
-    vectorized: bool,
-) -> List[List[JobReplayResult]]:
-    """One map task: replay the whole config batch against one shard."""
-    index, configs = task
-    payload, slo = _WORKER_STATE[token]
-    shard = payload[index]
-    if vectorized:
-        return shard.replay(configs)
-    return [[_replay_one_job(trace, config, slo) for trace in shard]
-            for config in configs]
-
-
-def _collect(
-    mapped: List[List[List[JobReplayResult]]],
-) -> List[List[List[JobReplayResult]]]:
-    """Identity reducer: the fleet reduction is per-config, done by the model."""
-    return mapped
-
-
-def _shard_bounds(n: int, shards: int) -> List[Tuple[int, int]]:
-    """``shards`` contiguous, near-equal index ranges covering ``range(n)``."""
-    cuts = [n * i // shards for i in range(shards + 1)]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
 class FarMemoryModel:
     """Replays fleet traces under candidate configurations.
 
-    Traces compile lazily on first evaluation and are then split into
-    ``workers`` contiguous shards, each concatenated once into a fleet
-    tensor that caches the configuration-independent passes.  The
-    MapReduce pool (when ``workers > 1``) starts lazily, persists across
-    evaluations, and ships the shards to each worker once via the pool
-    initializer.  Call :meth:`close` (or use the model as a context
-    manager) to tear the pool down.
+    Traces compile lazily on first evaluation and are then concatenated,
+    once, into one fleet tensor that caches the configuration-independent
+    passes; every evaluation replays that tensor in-process.  :meth:`close`
+    (or leaving the model's ``with`` block) drops the cached tensors.
 
     Args:
         traces: per-job traces (e.g. ``trace_db.traces()``), or
             already-compiled :class:`CompiledTrace` tensors (e.g. a
             columnar store's ``compiled_traces()``) — the latter skip
-            object materialization entirely but require the vectorized
-            replay path.
+            object materialization entirely.
         slo: the promotion-rate SLO used both inside the policy and as the
             fleet constraint.
-        workers: MapReduce worker processes (1 = in-process).
-        vectorized: replay compiled tensors (default) or drive the scalar
-            policy loop per interval (the reference oracle — identical
-            results, orders of magnitude slower).
         registry: metrics registry (defaults to the process registry).
         tracer: span tracer (defaults to the process tracer).
     """
@@ -393,8 +283,6 @@ class FarMemoryModel:
         self,
         traces: Sequence[Union[JobTrace, CompiledTrace]],
         slo: Optional[PromotionRateSlo] = None,
-        workers: int = 1,
-        vectorized: bool = True,
         registry=None,
         tracer=None,
     ):
@@ -404,15 +292,8 @@ class FarMemoryModel:
             raise ConfigurationError(
                 "traces must be all JobTrace or all CompiledTrace, not a mix"
             )
-        if precompiled and not vectorized:
-            raise ConfigurationError(
-                "pre-compiled traces have no entries to drive the scalar "
-                "oracle; use vectorized=True"
-            )
         self.traces = [] if precompiled else items
         self.slo = slo if slo is not None else PromotionRateSlo()
-        self.workers = workers
-        self.vectorized = vectorized
         registry = registry if registry is not None else get_registry()
         self._tracer = tracer if tracer is not None else get_tracer()
         self._m_configs = registry.counter(
@@ -430,14 +311,7 @@ class FarMemoryModel:
         self._compiled: Optional[List[CompiledTrace]] = (
             precompiled if precompiled else None
         )
-        self._shards: Optional[_ReplayPayload] = None
-        self._pipeline: Optional[MapReduce] = None
-        self._token: Optional[str] = None
-        self._release: Optional[weakref.finalize] = None
-
-    # ------------------------------------------------------------------
-    # Lazy compilation & pool lifecycle
-    # ------------------------------------------------------------------
+        self._fleet: Optional[_FleetShard] = None
 
     @property
     def compiled_traces(self) -> List[CompiledTrace]:
@@ -448,61 +322,15 @@ class FarMemoryModel:
             self._m_compiled.inc(len(self._compiled))
         return self._compiled
 
-    def _shard_payload(self) -> _ReplayPayload:
-        """The fleet split into map-task shards (built once, cached)."""
-        if self._shards is None:
-            units = self.compiled_traces if self.vectorized else self.traces
-            bounds = _shard_bounds(len(units), max(1, min(self.workers, len(units))))
-            if self.vectorized:
-                self._shards = [
-                    _FleetShard(units[lo:hi], self.slo) for lo, hi in bounds
-                ]
-            else:
-                self._shards = [units[lo:hi] for lo, hi in bounds]
-        return self._shards
-
-    def _ensure_pipeline(self) -> MapReduce:
-        if self._pipeline is None:
-            payload = self._shard_payload()
-            token = f"model-{next(_MODEL_TOKENS)}"
-            # A model dropped without close() must not leave its payload
-            # in the module-global worker state for the process lifetime.
-            self._release = weakref.finalize(
-                self, _WORKER_STATE.pop, token, None
-            )
-            self._token = token
-            self._pipeline = MapReduce(
-                mapper=functools.partial(
-                    _replay_shard_task,
-                    token=token,
-                    vectorized=self.vectorized,
-                ),
-                reducer=_collect,
-                workers=self.workers,
-                initializer=_init_model_worker,
-                initargs=(token, payload, self.slo),
-            )
-        return self._pipeline
-
     def close(self) -> None:
-        """Shut the worker pool down and drop in-process worker state."""
-        if self._pipeline is not None:
-            self._pipeline.close()
-            self._pipeline = None
-        if self._release is not None:
-            self._release()
-            self._release = None
-        self._token = None
+        """Drop the cached fleet tensor; the next evaluation rebuilds it."""
+        self._fleet = None
 
     def __enter__(self) -> "FarMemoryModel":
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
 
     def evaluate(self, config: ThresholdPolicyConfig) -> FleetReplayReport:
         """What-if analysis of one configuration over the whole fleet."""
@@ -511,31 +339,21 @@ class FarMemoryModel:
     def evaluate_many(
         self, configs: Sequence[ThresholdPolicyConfig]
     ) -> List[FleetReplayReport]:
-        """Evaluate a batch of configurations in one MapReduce.
-
-        Each map task replays the *entire* batch against one shard of the
-        fleet, one array pass per configuration, so a batch costs one task
-        per worker regardless of fleet and batch size.  Reports come back
-        in ``configs`` order.
-        """
+        """Evaluate a batch of configurations, one fleet-wide array pass
+        per configuration.  Reports come back in ``configs`` order."""
         configs = list(configs)
         if not configs:
             return []
-        pipeline = self._ensure_pipeline()
-        assert self._shards is not None
-        tasks = [(index, configs) for index in range(len(self._shards))]
+        if self._fleet is None:
+            self._fleet = _FleetShard(self.compiled_traces, self.slo)
         with self._tracer.span("model.evaluate_many", batch=len(configs)):
             with Stopwatch() as watch:
-                per_shard = pipeline.run(tasks)
+                per_config = self._fleet.replay(configs)
         self._m_configs.inc(len(configs))
         self._m_seconds.observe(watch.seconds)
         return [
-            _reduce_fleet(
-                [result for shard in per_shard for result in shard[j]],
-                config=config,
-                slo=self.slo,
-            )
-            for j, config in enumerate(configs)
+            _reduce_fleet(results, config=config, slo=self.slo)
+            for results, config in zip(per_config, configs)
         ]
 
 

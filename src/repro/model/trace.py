@@ -574,8 +574,8 @@ class CompiledTrace:
     ``len(bins)`` is an explicit zero so a threshold beyond the grid
     indexes to zero, mirroring :meth:`AgeHistogram.colder_than`), a
     working-set vector, and interval metadata.  All fields are plain
-    numpy arrays, so a compiled trace pickles cheaply and ships to
-    MapReduce workers once per model instead of once per configuration.
+    numpy arrays, so a model concatenates its compiled traces into one
+    fleet tensor once instead of once per configuration.
 
     Attributes:
         job_id: the compiled job.

@@ -46,6 +46,19 @@ class TestRegistry:
             "DET004", "FLOW001", "FLOW002", "FORK001", "OBS001",
         }
 
+    def test_allowlists_name_existing_paths(self):
+        """An allowlist entry that names no file or directory under src/
+        exempts nothing and hides the rule's real scope."""
+        if not SRC_TREE.exists():
+            pytest.skip("src/ tree not present (sdist install)")
+        dead = [
+            (rule_id, entry)
+            for rule_id, rule in sorted(RULES.items())
+            for entry in rule.allowlist
+            if not (SRC_TREE.parent / entry).exists()
+        ]
+        assert dead == []
+
     def test_unknown_rule_rejected(self):
         with pytest.raises(LintError, match="unknown rule"):
             LintEngine(rules=["NOPE999"])

@@ -59,13 +59,17 @@ class TestParser:
         assert args.workers == 2
         assert args.output == "/tmp/b.json"
 
-    def test_bench_model_defaults(self):
-        args = build_parser().parse_args(["bench", "--model"])
-        assert args.model
+    def test_bench_trace_defaults(self):
+        args = build_parser().parse_args(["bench", "--trace"])
+        assert args.trace
         assert args.jobs is None
         assert args.intervals == 288
         assert args.configs == 8
-        assert not build_parser().parse_args(["bench"]).model
+        assert not build_parser().parse_args(["bench"]).trace
+
+    def test_bench_model_flag_rejected(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--model"])
 
     def test_chaos_defaults(self):
         args = build_parser().parse_args(["chaos"])
@@ -147,17 +151,6 @@ class TestExecution:
         if report["parallel"]["workers"] <= 1:
             assert report["speedup"] is None
             assert report["note"]
-        assert "speedup" in capsys.readouterr().out.lower()
-
-    def test_bench_model_writes_report(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "model.json"
-        code = main(["bench", "--model", "--quick", "--output", str(out)])
-        assert code == 0
-        report = json.loads(out.read_text())
-        assert report["equivalent"] is True
-        assert report["vectorized"]["configs_per_second"] > 0
         assert "speedup" in capsys.readouterr().out.lower()
 
     def test_figures_writes_directory(self, tmp_path, capsys):

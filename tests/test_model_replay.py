@@ -1,7 +1,6 @@
 """The fast far memory model: offline replay of the control algorithm."""
 
 import dataclasses
-import gc
 
 import numpy as np
 import pytest
@@ -11,14 +10,11 @@ from hypothesis import strategies as st
 from repro.core.histograms import AgeBins, AgeHistogram, default_age_bins
 from repro.core.slo import PromotionRateSlo
 from repro.core.threshold_policy import ThresholdPolicyConfig
-from repro.model.replay import (
-    _WORKER_STATE,
-    FarMemoryModel,
-    _reduce_fleet,
-    _replay_one_job,
-)
+from repro.model.replay import FarMemoryModel, _reduce_fleet
 from repro.model.trace import JobTrace, TraceEntry
 from repro.obs import MetricName, MetricRegistry
+from repro.tracestore.bench import bench_configs, synthetic_fleet_traces
+from tests.model_reference import reference_evaluate, replay_one_job
 
 
 def make_trace(job_id="j", n_entries=12, cold_pages=500, wss=1000,
@@ -98,9 +94,9 @@ def assert_bit_identical(scalar, vectorized):
         assert a.tobytes() == b.tobytes(), name
 
 
-def replay_fleet(compiled, configs, slo, workers=1):
+def replay_fleet(compiled, configs, slo):
     """Per config, the per-job results of the model's fleet-wide replay."""
-    with FarMemoryModel(compiled, slo, workers=workers) as model:
+    with FarMemoryModel(compiled, slo) as model:
         return [report.job_results for report in model.evaluate_many(configs)]
 
 
@@ -165,7 +161,7 @@ job_shapes = st.tuples(
 class TestReplayOneJob:
     def test_quiet_job_captures_cold_memory(self):
         config = ThresholdPolicyConfig(percentile_k=90, warmup_seconds=0)
-        result = _replay_one_job(make_trace(), config, PromotionRateSlo())
+        result = replay_one_job(make_trace(), config, PromotionRateSlo())
         assert result.intervals == 12
         # First interval has no history -> threshold disabled -> 0 captured.
         assert result.cold_pages_captured[0] == 0.0
@@ -175,15 +171,15 @@ class TestReplayOneJob:
 
     def test_warmup_suppresses_early_intervals(self):
         config = ThresholdPolicyConfig(percentile_k=90, warmup_seconds=1500)
-        result = _replay_one_job(make_trace(), config, PromotionRateSlo())
+        result = replay_one_job(make_trace(), config, PromotionRateSlo())
         # 1500s warm-up = five 300s intervals disabled (plus the first).
         assert all(c == 0 for c in result.cold_pages_captured[:5])
         assert result.cold_pages_captured[-1] > 0
 
     def test_noisy_job_captures_less(self):
         config = ThresholdPolicyConfig(percentile_k=90, warmup_seconds=0)
-        quiet = _replay_one_job(make_trace(), config, PromotionRateSlo())
-        noisy = _replay_one_job(
+        quiet = replay_one_job(make_trace(), config, PromotionRateSlo())
+        noisy = replay_one_job(
             make_trace(promo_ages=[200.0] * 400),  # heavy cold re-touch
             config,
             PromotionRateSlo(),
@@ -192,7 +188,7 @@ class TestReplayOneJob:
 
     def test_empty_trace(self):
         config = ThresholdPolicyConfig()
-        result = _replay_one_job(JobTrace("j"), config, PromotionRateSlo())
+        result = replay_one_job(JobTrace("j"), config, PromotionRateSlo())
         assert result.intervals == 0
         assert result.mean_cold_pages == 0.0
 
@@ -269,6 +265,19 @@ class TestFleetModel:
         assert a.total_cold_pages == b.total_cold_pages
         assert a.promotion_rate_p98 == b.promotion_rate_p98
 
+    def test_reports_equal_compares_every_job_array(self):
+        """Report equality, which every equivalence check relies on, is a
+        real comparison of the per-job arrays: equal batches compare
+        equal, a one-ulp change in one rate does not."""
+        traces = synthetic_fleet_traces(jobs=3, intervals=12, seed=3)
+        with FarMemoryModel(traces) as model:
+            a = model.evaluate_many(bench_configs(2))
+            b = model.evaluate_many(bench_configs(2))
+        assert a == b
+        rates = b[1].job_results[2].normalized_rates
+        rates[5] = np.nextafter(rates[5], np.inf)
+        assert a != b
+
     def test_matches_online_policy_semantics(self):
         """The replayed threshold sequence equals what the online policy
         would have produced given identical inputs."""
@@ -276,7 +285,7 @@ class TestFleetModel:
 
         trace = make_trace(promo_ages=[300.0] * 50, n_entries=8)
         config = ThresholdPolicyConfig(percentile_k=75, warmup_seconds=600)
-        result = _replay_one_job(trace, config, PromotionRateSlo())
+        result = replay_one_job(trace, config, PromotionRateSlo())
 
         policy = ColdAgeThresholdPolicy(
             config, trace.entries[0].bins, PromotionRateSlo()
@@ -303,7 +312,7 @@ class TestVectorizedEquivalence:
         )
         vectorized = replay_fleet([trace.compile()], EQUIVALENCE_CONFIGS, slo)
         for config, (vec,) in zip(EQUIVALENCE_CONFIGS, vectorized):
-            assert_bit_identical(_replay_one_job(trace, config, slo), vec)
+            assert_bit_identical(replay_one_job(trace, config, slo), vec)
 
     @settings(max_examples=40, deadline=None)
     @given(shapes=st.lists(job_shapes, max_size=30),
@@ -327,7 +336,7 @@ class TestVectorizedEquivalence:
             reports = model.evaluate_many(configs)
         for config, report in zip(configs, reports):
             expected = _reduce_fleet(
-                [_replay_one_job(trace, config, slo, interval)
+                [replay_one_job(trace, config, slo, interval)
                  for trace, interval in zip(traces, intervals)],
                 config=config, slo=slo,
             )
@@ -336,21 +345,6 @@ class TestVectorizedEquivalence:
             assert len(report.job_results) == len(expected.job_results)
             for want, got in zip(expected.job_results, report.job_results):
                 assert_bit_identical(want, got)
-
-    def test_sharded_replay_matches_in_process(self):
-        """Two workers replay two contiguous shards; the reports equal the
-        single in-process pass."""
-        shapes = [(n, style, interval, n % 2) for n, style, interval in (
-            (0, "mixed", 300), (250, "mixed", 300), (7, "disabled", 600),
-            (130, "mixed", 600), (1, "mixed", 300), (40, "disabled", 300),
-            (121, "mixed", 600),
-        )]
-        _, _, compiled = make_ragged_fleet(5, shapes)
-        slo = PromotionRateSlo()
-        with FarMemoryModel(compiled, slo) as serial:
-            expected = serial.evaluate_many(EQUIVALENCE_CONFIGS)
-        with FarMemoryModel(compiled, slo, workers=2) as pooled:
-            assert pooled.evaluate_many(EQUIVALENCE_CONFIGS) == expected
 
     def test_empty_trace(self):
         slo = PromotionRateSlo()
@@ -368,7 +362,7 @@ class TestVectorizedEquivalence:
         config = ThresholdPolicyConfig(warmup_seconds=10**9)
         trace = make_trace(n_entries=10)
         ((vec,),) = replay_fleet([trace.compile()], [config], slo)
-        assert_bit_identical(_replay_one_job(trace, config, slo), vec)
+        assert_bit_identical(replay_one_job(trace, config, slo), vec)
         assert all(t == float("inf") for t in vec.thresholds)
         assert all(c == 0.0 for c in vec.cold_pages_captured)
 
@@ -381,7 +375,7 @@ class TestVectorizedEquivalence:
         )
         # promo_scale=1 keeps integers(0, 1) == 0: no promotions at all.
         ((vec,),) = replay_fleet([trace.compile()], [config], slo)
-        assert_bit_identical(_replay_one_job(trace, config, slo), vec)
+        assert_bit_identical(replay_one_job(trace, config, slo), vec)
         assert all(r == 0.0 for r in vec.normalized_rates)
 
     def test_zero_wss_with_promotions_rates_are_inf(self):
@@ -394,19 +388,19 @@ class TestVectorizedEquivalence:
         rng = np.random.default_rng(13)
         trace = make_random_trace(rng, n_entries=8, zero_wss_at=range(8))
         ((vec,),) = replay_fleet([trace.compile()], [config], slo)
-        assert_bit_identical(_replay_one_job(trace, config, slo), vec)
+        assert_bit_identical(replay_one_job(trace, config, slo), vec)
         assert any(r == float("inf") for r in vec.normalized_rates)
 
     def test_model_scalar_mode_matches_vectorized_mode(self):
+        """``evaluate`` equals the fleet reduction of the oracle's per-job
+        replays, report for report."""
         traces = [make_random_trace(np.random.default_rng(s), job_id=f"j{s}",
                                     n_entries=30)
                   for s in range(3)] + [JobTrace("empty")]
         config = ThresholdPolicyConfig(percentile_k=95, warmup_seconds=600)
-        vec_report = FarMemoryModel(traces).evaluate(config)
-        scalar_report = FarMemoryModel(traces, vectorized=False).evaluate(
-            config
-        )
-        assert vec_report == scalar_report
+        slo = PromotionRateSlo()
+        vec_report = FarMemoryModel(traces, slo).evaluate(config)
+        assert vec_report == reference_evaluate(traces, config, slo)
 
 
 class TestBatchedEvaluation:
@@ -446,20 +440,15 @@ class TestBatchedEvaluation:
         assert model.compiled_traces is first
 
     def test_close_is_idempotent_and_context_manager_closes(self):
+        config = ThresholdPolicyConfig()
         with FarMemoryModel([make_trace()]) as model:
-            model.evaluate(ThresholdPolicyConfig())
+            first = model.evaluate(config)
+            assert model._fleet is not None
+        # Leaving the block dropped the cached fleet tensor.
+        assert model._fleet is None
         model.close()
-        # Still usable after close: the next evaluation rebuilds lazily.
-        report = model.evaluate(ThresholdPolicyConfig())
-        assert report.job_results
-
-    def test_dropped_model_releases_worker_state(self):
-        """A model garbage-collected without close() takes its replay
-        payload out of the module-global worker state."""
-        model = FarMemoryModel([make_trace()])
-        model.evaluate(ThresholdPolicyConfig())
-        token = model._token
-        assert token in _WORKER_STATE
-        del model
-        gc.collect()
-        assert token not in _WORKER_STATE
+        # Still usable after close: the next evaluation rebuilds lazily,
+        # from the traces compiled once, to the same report.
+        compiled = model.compiled_traces
+        assert model.evaluate(config) == first
+        assert model.compiled_traces is compiled

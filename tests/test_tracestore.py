@@ -25,6 +25,7 @@ from repro.tracestore import (
     MANIFEST_NAME,
     TraceStore,
 )
+from repro.tracestore.bench import bench_configs, synthetic_fleet_traces
 
 
 def make_entry(job_id="j", time=0, wss=100, machine="m0", bins=None, seed=None):
@@ -457,8 +458,6 @@ class TestColumnarTraceDatabase:
     def test_model_replays_from_columns(self, tmp_path):
         """The acceptance-criteria path: evaluate_many over compiled
         tensors built straight from disk equals the object path."""
-        from repro.model.bench import bench_configs
-
         db = ColumnarTraceDatabase(tmp_path / "s", buffer_rows=8)
         for trace in random_fleet(jobs=3, seed=12):
             for entry in trace.entries:
@@ -470,12 +469,6 @@ class TestColumnarTraceDatabase:
         with FarMemoryModel(db.compiled_traces()) as columnar_model:
             actual = columnar_model.evaluate_many(batch)
         assert actual == expected
-
-    def test_precompiled_requires_vectorized(self, tmp_path):
-        db = ColumnarTraceDatabase(tmp_path / "s")
-        db.add(make_entry("a", 0))
-        with pytest.raises(ConfigurationError, match="vectorized"):
-            FarMemoryModel(db.compiled_traces(), vectorized=False)
 
     def test_mixed_trace_kinds_rejected(self, tmp_path):
         db = ColumnarTraceDatabase(tmp_path / "s")
@@ -699,3 +692,30 @@ class TestBatchAppend:
             }
         assert dumps["columnar"] == dumps["scalar"]
         assert any(rows for rows in dumps["scalar"].values())
+
+
+class TestSyntheticTraces:
+    def test_deterministic_per_seed(self):
+        a = synthetic_fleet_traces(jobs=3, intervals=10, seed=5)
+        b = synthetic_fleet_traces(jobs=3, intervals=10, seed=5)
+        assert [t.to_dicts() for t in a] == [t.to_dicts() for t in b]
+
+    def test_seed_changes_traces(self):
+        a = synthetic_fleet_traces(jobs=2, intervals=6, seed=1)
+        b = synthetic_fleet_traces(jobs=2, intervals=6, seed=2)
+        assert [t.to_dicts() for t in a] != [t.to_dicts() for t in b]
+
+    def test_shape(self):
+        traces = synthetic_fleet_traces(jobs=4, intervals=7, seed=0)
+        assert len(traces) == 4
+        assert all(len(t) == 7 for t in traces)
+
+
+class TestBenchConfigs:
+    def test_count_and_determinism(self):
+        assert len(bench_configs(12)) == 12
+        assert bench_configs(6) == bench_configs(6)
+
+    def test_configs_vary(self):
+        configs = bench_configs(8)
+        assert len(set(configs)) > 1
