@@ -150,9 +150,6 @@ class NodeAgent:
 
         registry = registry if registry is not None else get_registry()
         self._tracer = tracer if tracer is not None else get_tracer()
-        self._bind_metrics(registry)
-
-    def _bind_metrics(self, registry: MetricRegistry) -> None:
         machine_id = self.machine.machine_id
         self._m_rounds = registry.counter(
             MetricName.AGENT_ROUNDS_TOTAL,
@@ -184,12 +181,6 @@ class NodeAgent:
             "1 while a component is running degraded (per component).",
             ("component", "machine")
         ).labels(component="agent", machine=machine_id)
-
-    def rebind_observability(self, registry: MetricRegistry,
-                             tracer: Tracer) -> None:
-        """Re-point metric handles and tracer after a cross-process move."""
-        self._tracer = tracer
-        self._bind_metrics(registry)
 
     @property
     def policy_config(self) -> Optional[ThresholdPolicyConfig]:

@@ -111,9 +111,6 @@ class TelemetryExporter:
 
         registry = registry if registry is not None else get_registry()
         self._tracer = tracer if tracer is not None else get_tracer()
-        self._bind_metrics(registry)
-
-    def _bind_metrics(self, registry: MetricRegistry) -> None:
         machine_id = self.machine.machine_id
         self._m_exports = registry.counter(
             MetricName.TELEMETRY_EXPORTS_TOTAL,
@@ -153,12 +150,6 @@ class TelemetryExporter:
             "1 while a component is running degraded (per component).",
             ("component", "machine")
         ).labels(component="telemetry", machine=machine_id)
-
-    def rebind_observability(self, registry: MetricRegistry,
-                             tracer: Tracer) -> None:
-        """Re-point metric handles and tracer after a cross-process move."""
-        self._tracer = tracer
-        self._bind_metrics(registry)
 
     def maybe_export(self, now: int) -> bool:
         """Export if the period boundary passed; returns True when it did."""

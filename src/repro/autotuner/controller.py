@@ -13,10 +13,9 @@ loop can run entirely online.
 
 Everything here is deterministic by construction: no wall clock, no RNG,
 all time from the fleet's logical clock — so a canary round replayed
-under a chaos scenario produces bit-identical decisions whether the soaks
-execute serially or through the parallel :class:`~repro.engine.FleetEngine`.
-:func:`canary_smoke` asserts exactly that, plus the fail-closed coverage
-gate, as a CI gate.
+under a chaos scenario with the same seeds produces bit-identical
+decisions.  :func:`canary_smoke` asserts the rollback and fail-closed
+coverage gates as a CI gate.
 """
 
 from __future__ import annotations
@@ -74,9 +73,8 @@ class CanaryDecision:
     def signature(self) -> tuple:
         """A comparable digest of the decision (for replay equivalence).
 
-        Two runs of the same round must agree on this tuple exactly —
-        including the floats, which are required to be bit-identical
-        between the serial and parallel engines.
+        Two runs of the same round with the same seeds must agree on
+        this tuple exactly, floats included.
         """
         return (
             self.promoted,
@@ -109,8 +107,6 @@ class FleetController:
         registry: metrics registry for the ``repro_canary_*`` series
             (defaults to the process-global one).
         tracer: span tracer (defaults to the process-global one).
-        engine: optional :class:`repro.engine.FleetEngine` bound to
-            ``fleet``; soaks run through it when given.
     """
 
     def __init__(
@@ -121,7 +117,6 @@ class FleetController:
         min_coverage: int = 10,
         registry: Optional[MetricRegistry] = None,
         tracer: Optional[Tracer] = None,
-        engine=None,
     ):
         self.fleet = fleet
         self.stages = tuple(stages)
@@ -129,7 +124,6 @@ class FleetController:
         self.min_coverage = int(min_coverage)
         self.registry = registry if registry is not None else get_registry()
         self.tracer = tracer if tracer is not None else get_tracer()
-        self.engine = engine
         self.decisions: List[CanaryDecision] = []
         self._m_rounds = self.registry.counter(
             MetricName.CANARY_ROUNDS_TOTAL,
@@ -152,7 +146,6 @@ class FleetController:
             slo_limit=self.slo_limit,
             min_coverage=self.min_coverage,
             registry=self.registry,
-            engine=self.engine,
         )
         with self.tracer.span("canary.round", policy=candidate.describe()):
             promoted = deployment.deploy(candidate)
@@ -223,53 +216,37 @@ def _smoke_fleet(seed: int, registry: MetricRegistry, tracer: Tracer) -> WSC:
     return fleet
 
 
-def canary_smoke(seed: int = 31, workers: int = 2) -> dict:
+def canary_smoke(seed: int = 31) -> dict:
     """CI gate for the online controller (used by ``repro ci``).
 
-    Three assertions in one cheap run:
+    Two assertions in one cheap run:
 
     1. a deliberately SLO-breaching policy (fixed 120 s threshold against
        a near-zero promotion budget) canaried under storm chaos is rolled
        back — it never reaches production;
-    2. the decision is bit-identical whether the soaks run serially or
-       through the parallel engine;
-    3. a fleet producing zero SLI samples fails closed with
+    2. a fleet producing zero SLI samples fails closed with
        ``"insufficient-coverage"`` instead of passing vacuously.
 
     Returns:
         Report dict with one boolean per assertion plus the verdicts.
 
     Raises:
-        AssertionError: when any of the three properties does not hold.
+        AssertionError: when either property does not hold.
     """
-    from repro.engine import FleetEngine
-
     breaching = FixedThresholdPolicy(
         threshold_seconds=120.0, warmup_seconds=0
     )
-    decisions = {}
-    for mode in ("serial", "parallel"):
-        registry, tracer = MetricRegistry(), Tracer()
-        fleet = _smoke_fleet(seed, registry, tracer)
-        engine = (
-            FleetEngine(fleet, workers=workers)
-            if mode == "parallel"
-            else None
-        )
-        controller = FleetController(
-            fleet,
-            stages=_SMOKE_STAGES,
-            slo_limit=1e-6,
-            min_coverage=10,
-            registry=registry,
-            tracer=tracer,
-            engine=engine,
-        )
-        decisions[mode] = controller.canary(breaching)
-
-    serial, parallel = decisions["serial"], decisions["parallel"]
-    identical = serial.signature() == parallel.signature()
-    rolled_back = not serial.promoted and serial.reason == "slo-breach"
+    registry, tracer = MetricRegistry(), Tracer()
+    controller = FleetController(
+        _smoke_fleet(seed, registry, tracer),
+        stages=_SMOKE_STAGES,
+        slo_limit=1e-6,
+        min_coverage=10,
+        registry=registry,
+        tracer=tracer,
+    )
+    breach = controller.canary(breaching)
+    rolled_back = not breach.promoted and breach.reason == "slo-breach"
 
     # Fail-closed leg: control period longer than the soak => no samples.
     registry, tracer = MetricRegistry(), Tracer()
@@ -295,11 +272,7 @@ def canary_smoke(seed: int = 31, workers: int = 2) -> dict:
 
     assert rolled_back, (
         "breaching policy was not rolled back: "
-        f"promoted={serial.promoted} reason={serial.reason!r}"
-    )
-    assert identical, (
-        "serial and parallel canary decisions diverged: "
-        f"{serial.signature()} != {parallel.signature()}"
+        f"promoted={breach.promoted} reason={breach.reason!r}"
     )
     assert failed_closed, (
         "zero-sample canary did not fail closed: "
@@ -307,9 +280,7 @@ def canary_smoke(seed: int = 31, workers: int = 2) -> dict:
     )
     return {
         "breach_rolled_back": rolled_back,
-        "identical_decisions": identical,
         "failed_closed_on_silence": failed_closed,
-        "serial_reason": serial.reason,
-        "parallel_reason": parallel.reason,
+        "breach_reason": breach.reason,
         "silent_reason": closed.reason,
     }

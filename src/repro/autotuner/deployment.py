@@ -109,9 +109,6 @@ class StagedDeployment:
             ``0`` disables the gate (the pre-fix vacuous-pass behavior).
         registry: metrics registry for the ``repro_canary_*`` series
             (defaults to the process-global one).
-        engine: optional :class:`repro.engine.FleetEngine` bound to
-            ``fleet``; soaks run through it when given (bit-identical to
-            serial by the engine's contract).
     """
 
     def __init__(
@@ -121,7 +118,6 @@ class StagedDeployment:
         slo_limit: float = 0.2,
         min_coverage: int = 10,
         registry: Optional[MetricRegistry] = None,
-        engine=None,
     ):
         require(len(stages) > 0, "need at least one stage")
         fractions = [s.fleet_fraction for s in stages]
@@ -136,7 +132,6 @@ class StagedDeployment:
         self.slo_limit = float(slo_limit)
         self.min_coverage = int(min_coverage)
         self.registry = registry if registry is not None else get_registry()
-        self.engine = engine
         self.outcomes: List[StageOutcome] = []
 
         self._m_advanced = self.registry.counter(
@@ -175,15 +170,12 @@ class StagedDeployment:
         the ladder stops.
         """
         new_policy = as_policy(policy)
+        clusters = self.fleet.clusters
         prior: Dict[str, ColdMemoryPolicy] = {
-            c.name: c.policy for c in self.fleet.clusters
+            c.name: c.policy for c in clusters
         }
         upgraded = 0
         for stage in self.stages:
-            # Re-read the cluster list each stage: a parallel-engine soak
-            # swaps freshly unpickled cluster objects into the fleet, so
-            # references held across a soak go stale.
-            clusters = self.fleet.clusters
             target = max(1, round(stage.fleet_fraction * len(clusters)))
             for cluster in clusters[upgraded:target]:
                 cluster.deploy_policy(new_policy)
@@ -203,8 +195,7 @@ class StagedDeployment:
 
             before = len(self.fleet.sli_history)
             soak_start = self.fleet.now
-            self.fleet.run(stage.soak_seconds, engine=self.engine)
-            clusters = self.fleet.clusters
+            self.fleet.run(stage.soak_seconds)
 
             # Jobs admitted during the soak (churn replacements, crash
             # respawns) appear in the scheduler-placement event stream;

@@ -208,8 +208,8 @@ class ThermostatDetector:
 #   intervals, exactly as the detector's per-region rate estimates do.
 #
 # The adapter is deliberately deterministic (no RNG): the duty cycle is a
-# fixed stride, so a canary decision replays bit-for-bit serial vs
-# parallel — the property the fleet controller's chaos suite asserts.
+# fixed stride, so a canary decision replays bit-for-bit for the same
+# seeds — the property the fleet controller's chaos suite asserts.
 
 
 @dataclass(frozen=True)

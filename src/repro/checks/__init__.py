@@ -6,12 +6,12 @@ Three layers:
   simulator-specific per-file rules: DET001 wall-clock reads, DET002
   unseeded randomness, DET003 order-sensitive accumulation from
   unordered iteration, DET004 per-page Python loops in the columnar
-  kernel, FORK001 pickle-safety at the fork boundary, ACC001 float
-  equality in accounting code, OBS001 metric/event name drift.
+  kernel, ACC001 float equality in accounting code, OBS001 metric/event
+  name drift.
 * **Flow passes** — :mod:`repro.checks.flow` (``repro lint --flow``),
   whole-program analyses over an AST call graph: FLOW001 interprocedural
-  nondeterminism taint into the tick path, FLOW002 fork-boundary
-  pickle-safety closure, CON001/CON002 static column contracts.
+  nondeterminism taint into the tick path, CON001/CON002 static column
+  contracts.
 * **Runtime** — :mod:`repro.checks.invariants` accounting identities and
   :mod:`repro.checks.contracts` column-contract verification, asserted
   inside the hot paths when ``REPRO_CHECKS=1``.
@@ -34,7 +34,6 @@ from repro.checks.invariants import (
     InvariantViolation,
     check_machine_accounting,
     check_memcg_histogram,
-    check_merge_delta,
     invariants_enabled,
     set_invariants_enabled,
 )
@@ -44,7 +43,6 @@ from repro.checks import (  # noqa: F401  (imported for registration)
     flow,
     rules_accounting,
     rules_determinism,
-    rules_fork,
     rules_obs,
 )
 
@@ -81,7 +79,6 @@ __all__ = [
     "check_docs_drift",
     "check_machine_accounting",
     "check_memcg_histogram",
-    "check_merge_delta",
     "default_flow_cache_dir",
     "default_lint_paths",
     "filter_baseline",

@@ -3,9 +3,7 @@
 The paper's control plane is only as good as its measurements: the K-th
 percentile threshold policy (§4.3) and the GP-Bandit autotuner (§5.3)
 both assume that replaying the same fleet with the same seed reproduces
-the same histograms bit-for-bit, and the parallel engine's serial ≡
-parallel contract (``docs/performance.md``) leans on the same property.
-``repro.checks`` enforces the hazards *statically*: every rule encodes
+the same histograms bit-for-bit.  ``repro.checks`` enforces the hazards *statically*: every rule encodes
 one way that contract has broken (or could break) in this codebase.
 
 Architecture:

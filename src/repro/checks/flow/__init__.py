@@ -1,17 +1,15 @@
 """repro.checks.flow: whole-program determinism & contract analysis.
 
 The local rules in :mod:`repro.checks` see one file at a time.  This
-package adds the interprocedural layer the serial≡parallel /
-scalar≡columnar proof obligations actually rest on:
+package adds the interprocedural layer the scalar≡columnar and
+same-seed replay proof obligations actually rest on:
 
 * :mod:`~repro.checks.flow.callgraph` — AST-based package call graph
   (imports, re-exports, method resolution via class scan, a conservative
   *unknown callee* lattice element);
 * :mod:`~repro.checks.flow.taint` — **FLOW001** nondeterminism-taint
   fixpoint from sources (wall clock, unseeded RNG, ``os.environ``,
-  ``id()``, unordered-set iteration) to tick-path sinks, and **FLOW002**
-  fork-boundary closure (everything reachable from the parallel engine's
-  worker entry points must be pickle-safe);
+  ``id()``, unordered-set iteration) to tick-path sinks;
 * :mod:`~repro.checks.flow.contracts` — **CON001/CON002** static
   column-contract checks against ``COLUMN_CONTRACTS`` tables;
 * :mod:`~repro.checks.flow.cache` — the ``.repro-cache/`` warm path.
@@ -33,7 +31,7 @@ from repro.checks.flow.callgraph import (
     extract_module,
     find_package_root,
 )
-from repro.checks.flow.taint import run_fork_closure, run_taint
+from repro.checks.flow.taint import run_taint
 
 __all__ = [
     "FLOW_RULE_IDS",
@@ -47,7 +45,7 @@ __all__ = [
 
 #: Rule ids produced by the flow passes (registered below so reporters
 #: can render titles and ``--rule`` can select them).
-FLOW_RULE_IDS = ("FLOW001", "FLOW002", "CON001", "CON002")
+FLOW_RULE_IDS = ("FLOW001", "CON001", "CON002")
 
 
 class _FlowRule(Rule):
@@ -67,12 +65,6 @@ class _FlowRule(Rule):
 class TaintReachesTickPath(_FlowRule):
     id = "FLOW001"
     title = "nondeterminism reaches the tick path via a call chain"
-
-
-@register
-class ForkClosureUnpicklable(_FlowRule):
-    id = "FLOW002"
-    title = "unpicklable class reachable from a fork worker entry point"
 
 
 @register
@@ -121,7 +113,7 @@ def run_flow(
     Args:
         paths: files/directories inside the package(s) to analyze.
         cache_dir: ``.repro-cache`` directory (None = no caching).
-        rules: restrict to these flow rule ids (default: all four).
+        rules: restrict to these flow rule ids (default: all three).
 
     Raises:
         LintError: when a path is not inside a python package.
@@ -140,8 +132,6 @@ def run_flow(
         findings: List[Finding] = []
         if "FLOW001" in selected:
             findings.extend(run_taint(graph))
-        if "FLOW002" in selected:
-            findings.extend(run_fork_closure(graph))
         if "CON001" in selected or "CON002" in selected:
             for summary in summaries:
                 for document in summary.con_findings:

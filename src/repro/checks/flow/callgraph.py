@@ -1,7 +1,7 @@
 """Project-wide call graph for the interprocedural flow passes.
 
 The local rules in ``repro.checks.rules_*`` see one file at a time; the
-flow passes (FLOW001 taint, FLOW002 fork closure) need to know *who
+flow passes (FLOW001 taint, CON001/CON002 contracts) need to know *who
 calls whom* across the whole package.  This module builds that graph in
 two stages, mirroring a classic separate-compilation linker:
 
@@ -9,8 +9,7 @@ two stages, mirroring a classic separate-compilation linker:
    :class:`ModuleSummary` — every function with its outgoing
    :class:`CallRef`\\ s (alias-resolved dotted targets), every
    nondeterminism :class:`SourceInfo` found in its body, every class with
-   its method table, base names, and FORK001-style pickle hazards, plus
-   the file's ``# repro: noqa`` suppression map and its
+   its method table and base names, plus the file's ``# repro: noqa`` suppression map and its
    ``COLUMN_CONTRACTS`` findings.  Summaries are plain JSON-able dicts,
    which is what makes the ``.repro-cache`` warm path possible: an
    unchanged file is never re-parsed.
@@ -23,13 +22,12 @@ two stages, mirroring a classic separate-compilation linker:
    MachinePagePool(...); pool.scan_all()``).
 
 Anything that cannot be resolved becomes the **unknown callee** lattice
-element: the edge is recorded as unresolved and contributes *no* taint
-and *no* reachability.  The lattice is therefore
+element: the edge is recorded as unresolved and contributes *no*
+taint.  The lattice is therefore
 ``CLEAN ⊑ UNKNOWN ⊑ TAINTED`` with the analyzer reporting only provable
 ``TAINTED`` facts — conservative in the "no spurious findings" direction
 a lint gate needs (a hazard hidden behind an unresolvable indirect call
-is the price; the local DET/FORK rules still see it at its definition
-site).
+is the price; the local DET rules still see it at its definition site).
 
 Nested function bodies fold into their enclosing function: a closure's
 calls and sources are attributed to the function that defines it.  That
@@ -60,7 +58,7 @@ __all__ = [
 ]
 
 #: Bumped whenever the summary shape changes (invalidates caches).
-SUMMARY_FORMAT_VERSION = 1
+SUMMARY_FORMAT_VERSION = 2
 
 #: Wall-clock reads (mirrors DET001's catalogue).
 _WALL_CLOCK_CALLS = frozenset(
@@ -81,25 +79,6 @@ _NP_LEGACY_FNS = frozenset(
         "normal", "uniform", "poisson", "exponential", "beta", "gamma",
         "binomial", "standard_normal", "get_state", "set_state",
     }
-)
-
-#: Constructors whose instances cannot cross a fork/pickle boundary
-#: (mirrors FORK001).
-_UNPICKLABLE_CTORS = {
-    "open": "open file handle",
-    "threading.Lock": "threading lock",
-    "threading.RLock": "threading lock",
-    "threading.Condition": "threading condition",
-    "threading.Event": "threading event",
-    "threading.Semaphore": "threading semaphore",
-    "threading.BoundedSemaphore": "threading semaphore",
-    "multiprocessing.Lock": "multiprocessing lock",
-    "multiprocessing.RLock": "multiprocessing lock",
-    "multiprocessing.Queue": "multiprocessing queue",
-}
-
-_PICKLE_HOOKS = frozenset(
-    {"__getstate__", "__reduce__", "__reduce_ex__", "__getnewargs__"}
 )
 
 _VIEW_METHODS = frozenset({"keys", "values", "items"})
@@ -189,7 +168,7 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
-    """One class: method table, bases, and pickle-safety facts."""
+    """One class: method table and bases."""
 
     qualname: str
     module: str
@@ -197,9 +176,6 @@ class ClassInfo:
     line: int
     bases: List[str] = field(default_factory=list)  #: resolved dotted names
     methods: Dict[str, str] = field(default_factory=dict)  #: name -> fn qualname
-    has_pickle_hooks: bool = False
-    #: FORK001-style hazards in ``__init__``: (line, description).
-    hazards: List[Tuple[int, str]] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -209,8 +185,6 @@ class ClassInfo:
             "line": self.line,
             "bases": self.bases,
             "methods": self.methods,
-            "has_pickle_hooks": self.has_pickle_hooks,
-            "hazards": [list(h) for h in self.hazards],
         }
 
     @classmethod
@@ -222,8 +196,6 @@ class ClassInfo:
             line=int(d["line"]),  # type: ignore[arg-type]
             bases=list(d["bases"]),  # type: ignore[arg-type]
             methods=dict(d["methods"]),  # type: ignore[arg-type]
-            has_pickle_hooks=bool(d["has_pickle_hooks"]),
-            hazards=[(int(h[0]), str(h[1])) for h in d["hazards"]],  # type: ignore[union-attr]
         )
 
 
@@ -412,12 +384,6 @@ class _ModuleExtractor(ast.NodeVisitor):
             line=node.lineno,
             bases=[b for b in map(self.dotted_name, node.bases) if b],
         )
-        defined = {
-            stmt.name
-            for stmt in node.body
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        info.has_pickle_hooks = bool(defined & _PICKLE_HOOKS)
         self.summary.classes[qualname] = info
         self._class_stack.append(info)
         for stmt in node.body:
@@ -448,8 +414,6 @@ class _ModuleExtractor(ast.NodeVisitor):
         self._fn_stack.append(info)
         saved_types = self._local_types
         self._local_types = {}
-        if cls is not None and node.name == "__init__":
-            self._scan_init_hazards(cls, node)
         for stmt in node.body:
             self.visit(stmt)
         self._local_types = saved_types
@@ -457,37 +421,6 @@ class _ModuleExtractor(ast.NodeVisitor):
 
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
-
-    def _scan_init_hazards(self, cls: ClassInfo, init) -> None:
-        """FORK001's local hazard check, recorded on the class for the
-        FLOW002 reachability pass (which also honours pickle hooks)."""
-        for stmt in ast.walk(init):
-            if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                continue
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            )
-            if not any(
-                isinstance(t, ast.Attribute)
-                and isinstance(t.value, ast.Name)
-                and t.value.id == "self"
-                for t in targets
-            ):
-                continue
-            value = stmt.value
-            if value is None:
-                continue
-            hazard: Optional[str] = None
-            if isinstance(value, ast.Lambda):
-                hazard = "lambda"
-            elif isinstance(value, ast.GeneratorExp):
-                hazard = "live generator"
-            elif isinstance(value, ast.Call):
-                name = self.dotted_name(value.func)
-                if name in _UNPICKLABLE_CTORS:
-                    hazard = _UNPICKLABLE_CTORS[name]
-            if hazard is not None:
-                cls.hazards.append((stmt.lineno, hazard))
 
     # -- statements inside functions ------------------------------------
 
@@ -831,27 +764,6 @@ class CallGraph:
         return self.resolve(ref.target)
 
     # -- queries used by the passes -------------------------------------
-
-    def reachable_from(self, roots: Sequence[str]) -> Dict[str, Tuple[str, int]]:
-        """BFS closure over call edges.
-
-        Returns:
-            reached qualname -> (caller it was first reached from, call
-            line); roots map to themselves with line 0.
-        """
-        reached: Dict[str, Tuple[str, int]] = {
-            root: (root, 0) for root in roots if root in self.functions
-        }
-        frontier = list(reached)
-        while frontier:
-            next_frontier: List[str] = []
-            for caller in frontier:
-                for callee, line in self.edges.get(caller, ()):
-                    if callee not in reached:
-                        reached[callee] = (caller, line)
-                        next_frontier.append(callee)
-            frontier = next_frontier
-        return reached
 
     def suppressed_at(self, rel_path: str, line: int, rule: str) -> bool:
         """Whether a ``# repro: noqa`` comment covers (file, line, rule)."""

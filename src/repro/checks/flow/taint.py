@@ -1,4 +1,4 @@
-"""Interprocedural passes: FLOW001 taint, FLOW002 fork closure.
+"""Interprocedural pass: FLOW001 taint into the tick path.
 
 **FLOW001 — nondeterminism reaches the tick path.**  The local rules
 (DET001/DET002/DET003) flag a wall-clock read or an unseeded RNG *where
@@ -7,7 +7,7 @@ calls a helper that reads ``time.time()``.  This pass propagates a
 taint fact — "calling this function can observe nondeterminism" — from
 every source function to fixpoint over the call graph (reverse BFS, so
 chains are shortest), then reports each **sink** function (anything
-defined under ``kernel/``, ``engine/`` or ``model/``) whose taint
+defined under ``kernel/`` or ``model/``) whose taint
 arrives *through a call*.  The finding anchors at the call site inside
 the sink — the line a ``# repro: noqa[FLOW001]`` suppression must sit
 on — and carries the full source→sink chain in
@@ -24,19 +24,11 @@ The **unknown callee** lattice element is deliberately non-tainting:
 an unresolvable call contributes nothing, so every FLOW001 report is a
 *proof* (a concrete chain), never a guess.
 
-**FLOW002 — fork-boundary closure.**  FORK001 checks each class
-locally; this pass generalizes it to reachability: starting from the
-parallel-engine worker entry points (functions under ``engine/`` whose
-name contains ``worker``), everything transitively reachable must be
-pickle-safe.  A reachable constructor call to a class whose ``__init__``
-stores an unpicklable attribute (and that declares no pickle hooks) is
-reported at the hazard line, with the entry→constructor chain attached.
-
 Source-side allowlist: functions in ``obs/`` (measures wall time by
 design), ``checks/`` (the invariant gate reads ``REPRO_CHECKS`` from
-the environment), ``common/rng.py`` (the one sanctioned generator
-factory), and ``*bench.py`` harnesses are never treated as taint
-sources — mirroring the local rules' allowlists.
+the environment) and ``common/rng.py`` (the one sanctioned generator
+factory) are never treated as taint sources — mirroring the local
+rules' allowlists.
 """
 
 from __future__ import annotations
@@ -50,8 +42,6 @@ from repro.checks.flow.callgraph import CallGraph, FunctionInfo, SourceInfo
 __all__ = [
     "SOURCE_ALLOWLIST_FRAGMENTS",
     "SINK_PATH_FRAGMENTS",
-    "find_worker_entry_points",
-    "run_fork_closure",
     "run_taint",
 ]
 
@@ -62,11 +52,8 @@ SOURCE_ALLOWLIST_FRAGMENTS: Tuple[str, ...] = (
     "common/rng.py",
 )
 
-#: Rel-path suffixes exempt as sources (throughput harnesses).
-SOURCE_ALLOWLIST_SUFFIXES: Tuple[str, ...] = ("bench.py",)
-
 #: Rel-path fragments that make a function a tick-path sink.
-SINK_PATH_FRAGMENTS: Tuple[str, ...] = ("kernel/", "engine/", "model/")
+SINK_PATH_FRAGMENTS: Tuple[str, ...] = ("kernel/", "model/")
 
 
 @dataclass
@@ -80,17 +67,12 @@ class _Taint:
 
 
 def _source_exempt(fn: FunctionInfo) -> bool:
-    rel = fn.rel_path
-    if any(fragment in rel for fragment in SOURCE_ALLOWLIST_FRAGMENTS):
-        return True
-    return any(rel.endswith(suffix) for suffix in SOURCE_ALLOWLIST_SUFFIXES)
+    return any(fragment in fn.rel_path
+               for fragment in SOURCE_ALLOWLIST_FRAGMENTS)
 
 
 def _is_sink(fn: FunctionInfo) -> bool:
-    rel = fn.rel_path
-    if any(rel.endswith(suffix) for suffix in SOURCE_ALLOWLIST_SUFFIXES):
-        return False  # bench harnesses measure wall time by design
-    return any(fragment in rel for fragment in SINK_PATH_FRAGMENTS)
+    return any(fragment in fn.rel_path for fragment in SINK_PATH_FRAGMENTS)
 
 
 def _propagate(graph: CallGraph) -> Dict[str, _Taint]:
@@ -177,71 +159,4 @@ def run_taint(graph: CallGraph) -> List[Finding]:
                 chain=tuple(_chain_lines(graph, qualname, taints)),
             )
         )
-    return sorted(findings)
-
-
-def find_worker_entry_points(graph: CallGraph) -> List[str]:
-    """Fork-boundary entry points: ``engine/`` functions named ``*worker*``.
-
-    In the shipped tree this is ``repro.engine.parallel._worker_main`` —
-    the loop every forked shard process runs.  The name-based convention
-    (leading-underscore-stripped name starts with ``worker``) keeps
-    fixtures and future engines (ROADMAP item 2's broker workers)
-    covered without a hardcoded list, while helpers that merely mention
-    workers (``default_worker_count``) stay out.
-    """
-    return sorted(
-        qualname
-        for qualname, fn in graph.functions.items()
-        if "engine/" in fn.rel_path
-        and fn.name.lower().lstrip("_").startswith("worker")
-        and fn.class_name is None
-    )
-
-
-def run_fork_closure(graph: CallGraph) -> List[Finding]:
-    """FLOW002 over a linked call graph."""
-    entries = find_worker_entry_points(graph)
-    if not entries:
-        return []
-    reached = graph.reachable_from(entries)
-    findings: List[Finding] = []
-    for qualname in sorted(reached):
-        fn = graph.functions[qualname]
-        if fn.name != "__init__" or fn.class_name is None:
-            continue
-        cls = graph.classes.get(fn.class_name)
-        if cls is None or cls.has_pickle_hooks or not cls.hazards:
-            continue
-        # Rebuild the entry -> constructor chain from BFS parents.
-        chain: List[str] = []
-        current = qualname
-        guard = 0
-        while guard < 64:
-            guard += 1
-            parent, line = reached[current]
-            if parent == current:
-                chain.append(f"{current} (fork worker entry point)")
-                break
-            parent_fn = graph.functions[parent]
-            chain.append(
-                f"{current} reached from {parent} ({parent_fn.rel_path}:{line})"
-            )
-            current = parent
-        for hazard_line, hazard in cls.hazards:
-            findings.append(
-                Finding(
-                    path=cls.rel_path,
-                    line=hazard_line,
-                    col=1,
-                    rule="FLOW002",
-                    message=(
-                        f"`{cls.qualname}` stores an unpicklable attribute "
-                        f"({hazard}) on self and is reachable from the fork "
-                        f"worker entry point(s); it cannot cross the "
-                        f"fork/pickle boundary"
-                    ),
-                    chain=tuple(chain),
-                )
-            )
     return sorted(findings)

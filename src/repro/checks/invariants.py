@@ -12,23 +12,20 @@ correctness story depends on:
 * **memcg histogram** — the incremental cold-age histogram maintained by
   ``scan_update`` must match a from-scratch rebuild (the ground truth
   the K-th percentile threshold policy reads).
-* **delta merge** — metric deltas shipped across the fork boundary must
-  conserve mass: counter increments are non-negative and a histogram
-  record's ``count`` equals the sum of its bucket increments.
 
 All checks are free when disabled: call sites guard with
 :func:`invariants_enabled`, which is a cached environment read.  Enable
 with ``REPRO_CHECKS=1`` (any of ``1/true/yes/on``) or, in tests, with
 :func:`set_invariants_enabled`.
 
-This module deliberately imports nothing from ``kernel``/``engine``
-(they import *us*); checks duck-type their arguments.
+This module deliberately imports nothing from ``kernel`` (it imports
+*us*); checks duck-type their arguments.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -38,7 +35,6 @@ __all__ = [
     "InvariantViolation",
     "check_machine_accounting",
     "check_memcg_histogram",
-    "check_merge_delta",
     "invariants_enabled",
     "set_invariants_enabled",
 ]
@@ -132,37 +128,3 @@ def check_memcg_histogram(memcg: Any) -> None:
             f"incremental {incremental!r} != rebuilt {truth!r} "
             f"(job={getattr(memcg, 'job_id', '?')!r})",
         )
-
-
-def check_merge_delta(records: Iterable[Dict[str, object]]) -> None:
-    """Delta-merge conservation for fork-boundary metric shipments.
-
-    Args:
-        records: the record list produced by ``MetricRegistry.delta``.
-    """
-    for record in records:
-        name = record.get("name", "?")
-        kind = record.get("kind")
-        if kind == "counter":
-            value = float(record["value"])  # type: ignore[arg-type]
-            if value < 0:
-                raise _violation(
-                    "merge.counter_monotonic",
-                    f"counter {name!r} shipped a negative increment "
-                    f"({value}); counters only go up",
-                )
-        elif kind == "histogram":
-            buckets: List[Dict[str, object]] = record["buckets"]  # type: ignore[assignment]
-            bucket_total = sum(int(b["count"]) for b in buckets)  # type: ignore[arg-type]
-            count = int(record["count"])  # type: ignore[arg-type]
-            if bucket_total != count:
-                raise _violation(
-                    "merge.histogram_mass",
-                    f"histogram {name!r} delta count {count} != Σ bucket "
-                    f"increments {bucket_total}; mass was lost in transit",
-                )
-            if count < 0 or any(int(b["count"]) < 0 for b in buckets):  # type: ignore[arg-type]
-                raise _violation(
-                    "merge.histogram_monotonic",
-                    f"histogram {name!r} shipped negative increments",
-                )

@@ -1,12 +1,10 @@
 """Determinism rules: wall clocks, unseeded RNG, unordered iteration.
 
-The simulator's replayability rests on three pillars (PR 2's
-serial ≡ parallel bit-equivalence contract makes all three load-bearing):
+The simulator's same-seed replayability rests on these rules:
 
 * **DET001** — simulation logic must read :class:`repro.common.simtime`
   clocks, never the wall clock.  Wall time is allowed only in the
-  observability layer (``obs/``, which *measures* wall time by design)
-  and the fleet throughput harness (``engine/bench.py``).
+  observability layer (``obs/``, which *measures* wall time by design).
 * **DET002** — all randomness must flow through
   :class:`repro.common.rng.SeedSequenceFactory` (or an explicitly seeded
   ``np.random.Generator``); the stdlib ``random`` module and numpy's
@@ -15,10 +13,9 @@ serial ≡ parallel bit-equivalence contract makes all three load-bearing):
   salted per process, so anything derived from them (stream indices,
   orderings) differs between runs; use
   :func:`repro.common.rng.stable_hash`.
-* **DET003** — in the ``engine/`` and ``kernel/`` hot paths, iterating a
-  dict/set view into an *ordered* accumulator is a shard-merge hazard:
-  the parallel engine rebuilds those containers per worker, so insertion
-  order (and hence the accumulated order) can differ from a serial run.
+* **DET003** — in the ``kernel/`` hot paths, iterating a dict/set view
+  into an *ordered* accumulator ties results to how the container was
+  built: insertion order for dicts, per-process string hashing for sets.
   Wrap the view in ``sorted(...)`` or accumulate order-insensitively.
 * **DET004** — the columnar kernel's whole point is that per-page work
   runs as whole-array sweeps; a Python ``for`` over the page axis
@@ -87,11 +84,11 @@ class _WallClockVisitor(RuleVisitor):
 
 @register
 class WallClockRule(Rule):
-    """DET001: no wall-clock reads outside obs/ and engine/bench.py."""
+    """DET001: no wall-clock reads outside obs/."""
 
     id = "DET001"
     title = "wall-clock read in simulation code"
-    allowlist = ("repro/obs/", "repro/engine/bench.py")
+    allowlist = ("repro/obs/",)
     visitor_class = _WallClockVisitor
 
 
@@ -178,7 +175,7 @@ class _UnorderedIterationVisitor(RuleVisitor):
             self.report(
                 node,
                 f"iteration over {described} feeds an ordered accumulator; "
-                f"wrap the iterable in sorted(...) so shard-merge order "
+                f"wrap the iterable in sorted(...) so container order "
                 f"cannot leak into results",
             )
         self.generic_visit(node)
@@ -190,7 +187,7 @@ class _UnorderedIterationVisitor(RuleVisitor):
                 self.report(
                     node,
                     f"list built from {described}; wrap the iterable in "
-                    f"sorted(...) so shard-merge order cannot leak into "
+                    f"sorted(...) so container order cannot leak into "
                     f"results",
                 )
                 break
@@ -216,7 +213,7 @@ class UnorderedIterationRule(Rule):
 
     id = "DET003"
     title = "order-sensitive accumulation from unordered iteration"
-    path_fragments = ("repro/engine/", "repro/kernel/", "fixtures/lint/")
+    path_fragments = ("repro/kernel/", "fixtures/lint/")
     visitor_class = _UnorderedIterationVisitor
 
 

@@ -23,7 +23,6 @@ from typing import List, Optional, Sequence
 from repro.checks import (  # noqa: F401  (imported for registration)
     rules_accounting,
     rules_determinism,
-    rules_fork,
     rules_obs,
 )
 from repro.checks.core import Finding, LintEngine, iter_python_files
@@ -136,8 +135,8 @@ def run_lint(
         docs: also run the docs/observability.md drift check when the
             docs tree is reachable (checkout runs; skipped from an
             installed wheel, and skipped when ``rules`` excludes OBS001).
-        flow: also run the whole-program flow passes (FLOW001/FLOW002/
-            CON001/CON002) over the package(s) containing ``paths``.
+        flow: also run the whole-program flow passes (FLOW001/CON001/
+            CON002) over the package(s) containing ``paths``.
             Flow findings join the local ones before baseline filtering,
             so the baseline/suppression workflow covers both uniformly.
         flow_cache: call-graph cache directory for the flow passes

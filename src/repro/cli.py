@@ -10,9 +10,6 @@ Commands:
   offline experimentation with the fast far memory model.
 * ``metrics`` — run an instrumented fleet and print the health report,
   or the full metric exposition (``--format prom|json``).
-* ``bench`` — time the same fleet serially and under the parallel
-  engine (``BENCH_fleet.json``), or with ``--trace`` the columnar trace
-  store against the object path (``BENCH_trace.json``).
 * ``trace`` — inspect and convert columnar trace stores: ``stats``,
   ``window``, ``export``/``import`` (jsonl <-> columnar), ``compact``.
 * ``chaos`` — run a named fault-injection scenario and report the SLO
@@ -260,120 +257,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Throughput comparison: fleet engine (BENCH_fleet.json) or the
-    columnar trace store (``--trace``, BENCH_trace.json)."""
-    if args.trace:
-        return _cmd_bench_trace(args)
-    from repro.engine.bench import run_bench
-
-    kwargs = dict(
-        hours=args.hours,
-        clusters=args.clusters,
-        machines=args.machines,
-        jobs=args.jobs,
-        seed=args.seed,
-        workers=args.workers,
-        barrier_seconds=args.barrier_seconds,
-    )
-    if kwargs["jobs"] is None:
-        kwargs["jobs"] = 1
-    if args.quick:
-        kwargs.update(hours=0.5, clusters=2, machines=10, jobs=1,
-                      tick_machines=10, tick_jobs=16, tick_ticks=10,
-                      thousand_machines=0)
-    print(f"Benchmarking {kwargs['clusters']} clusters x "
-          f"{kwargs['machines']} machines for {kwargs['hours']:g} "
-          f"simulated hours (tick path, serial vs parallel)...")
-    report = run_bench(output=args.output, **kwargs)
-    tick = report["tick_path"]
-    print(render_table(
-        ["", "wall s", "ticks/s"],
-        [
-            ("scalar", f"{tick['scalar']['wall_seconds']:.2f}",
-             f"{tick['scalar']['ticks_per_second']:.1f}"),
-            ("columnar", f"{tick['columnar']['wall_seconds']:.2f}",
-             f"{tick['columnar']['ticks_per_second']:.1f}"),
-        ],
-        title=f"Tick path, {tick['machines']} machines x "
-              f"{tick['jobs_per_machine']} jobs (columnar "
-              f"{tick['speedup_columnar']:.1f}x, "
-              f"equivalent={tick['equivalent']})",
-    ))
-    speedup = report["speedup"]
-    speedup_text = "n/a" if speedup is None else f"{speedup:.2f}x"
-    print(render_table(
-        ["", "wall s", "ticks/s", "pages scanned/s"],
-        [
-            ("serial", f"{report['serial']['wall_seconds']:.2f}",
-             f"{report['serial']['ticks_per_second']:.1f}",
-             f"{report['serial']['pages_scanned_per_second']:.0f}"),
-            (f"parallel x{report['parallel']['workers']}",
-             f"{report['parallel']['wall_seconds']:.2f}",
-             f"{report['parallel']['ticks_per_second']:.1f}",
-             f"{report['parallel']['pages_scanned_per_second']:.0f}"),
-        ],
-        title=f"Fleet throughput (speedup {speedup_text}, "
-              f"equivalent={report['equivalent']})",
-    ))
-    if report["note"]:
-        print(f"note: {report['note']}")
-    if report["parallel"]["fallback_reason"]:
-        print(f"note: ran serially — {report['parallel']['fallback_reason']}")
-    thousand = report["thousand_machine_hour"]
-    if thousand is not None:
-        line = (f"thousand-machine hour: {thousand['machines']} machines "
-                f"on one core in {thousand['wall_seconds']:.2f}s")
-        if "under_scalar_8_machine_bench" in thousand:
-            line += (f" — under the 8-machine scalar bench "
-                     f"({thousand['scalar_8_machine_wall_seconds']:.2f}s): "
-                     f"{thousand['under_scalar_8_machine_bench']}")
-        print(line)
-    print(f"Wrote {args.output}")
-    return 0 if report["equivalent"] else 1
-
-
-def _cmd_bench_trace(args: argparse.Namespace) -> int:
-    """The ``repro bench --trace`` half: columnar store vs object path."""
-    from repro.tracestore.bench import run_trace_bench
-
-    kwargs = dict(
-        jobs=args.jobs if args.jobs is not None else 24,
-        intervals=args.intervals,
-        configs=args.configs,
-        seed=args.seed,
-    )
-    if args.quick:
-        kwargs.update(jobs=6, intervals=48, configs=2)
-    # The fleet default filename would mislabel a trace-store report.
-    output = args.output
-    if output == "BENCH_fleet.json":
-        output = "BENCH_trace.json"
-    print(f"Benchmarking the trace store: {kwargs['jobs']} jobs x "
-          f"{kwargs['intervals']} intervals, replayed from objects and "
-          f"from on-disk columns...")
-    report = run_trace_bench(output=output, **kwargs)
-    obj, col = report["object_path"], report["columnar_path"]
-    print(render_table(
-        ["", "compile s", "evaluate s", "peak MiB"],
-        [
-            ("object path", f"{obj['compile_wall_seconds']:.3f}",
-             f"{obj['evaluate_wall_seconds']:.3f}",
-             f"{obj['peak_bytes'] / MIB:.1f}"),
-            ("columnar path", f"{col['compile_wall_seconds']:.3f}",
-             f"{col['evaluate_wall_seconds']:.3f}",
-             f"{col['peak_bytes'] / MIB:.1f}"),
-        ],
-        title=f"Trace store ({report['ingest']['rows_per_second']:.0f} "
-              f"rows/s ingest, compile speedup "
-              f"{report['compile_speedup']:.2f}x, peak-mem ratio "
-              f"{report['peak_mem_ratio']:.3f}, "
-              f"equivalent={report['equivalent']})",
-    ))
-    print(f"Wrote {output}")
-    return 0 if report["equivalent"] else 1
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     """Inspect/convert columnar trace stores (``repro trace ...``)."""
     from repro.common.errors import TraceError
@@ -441,7 +324,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run a chaos scenario; compare SLO impact with a fault-free run."""
-    from repro.engine import FleetEngine
     from repro.faults import attach_scenario
 
     seconds = int(args.hours * HOUR)
@@ -454,10 +336,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         if inject:
             attach_scenario(fleet, args.scenario, seconds,
                             seed=args.chaos_seed)
-        if args.workers is not None and args.workers > 1:
-            FleetEngine(fleet, workers=args.workers).run(seconds)
-        else:
-            fleet.run(seconds)
+        fleet.run(seconds)
         return fleet
 
     def slo_row(fleet):
@@ -516,14 +395,13 @@ def cmd_canary(args: argparse.Namespace) -> int:
     )
     from repro.baselines import ThermostatPolicy
     from repro.core import FixedThresholdPolicy, PaperPolicy
-    from repro.engine import FleetEngine
     from repro.faults import attach_scenario
 
     if args.smoke:
         from repro.autotuner import canary_smoke
 
         print("Running the canary controller smoke (breach rollback, "
-              "serial==parallel, fail-closed on silence)...")
+              "fail-closed on silence)...")
         report = canary_smoke()
         print(render_table(
             ["check", "result"],
@@ -557,11 +435,6 @@ def cmd_canary(args: argparse.Namespace) -> int:
               + (f" under scenario {args.scenario!r}" if args.scenario
                  else "") + "...")
         fleet.run(warmup)
-    engine = (
-        FleetEngine(fleet, workers=args.workers)
-        if args.workers is not None and args.workers > 1
-        else None
-    )
     stages = tuple(
         DeploymentStage(s.name, s.fleet_fraction, soak)
         for s in DEFAULT_STAGES
@@ -569,7 +442,6 @@ def cmd_canary(args: argparse.Namespace) -> int:
     controller = FleetController(
         fleet, stages=stages, slo_limit=args.slo_limit,
         min_coverage=args.min_coverage, registry=registry, tracer=tracer,
-        engine=engine,
     )
     print(f"Canarying {policy.describe()} through "
           f"{len(stages)} stages ({args.soak_minutes:g} min soaks)...")
@@ -619,44 +491,9 @@ def cmd_ci(args: argparse.Namespace) -> int:
     )
     exit_code = max(exit_code, cmd_lint(lint_args))
     if exit_code == 0 and not args.skip_bench:
-        # The trace-store smoke gates only on the columnar path
-        # reproducing the object path bit-identically, never on timing:
-        # speedups flake on loaded CI hosts, bit-identical reports must not.
-        from repro.tracestore.bench import run_trace_bench
-
-        print("ci: running trace bench smoke (bench --trace --quick) ...")
-        report = run_trace_bench(jobs=6, intervals=48, configs=2)
-        if not report["equivalent"]:
-            print("ci: trace bench smoke FAILED "
-                  "(columnar replay diverged from the object path)",
-                  file=sys.stderr)
-            exit_code = 1
-        else:
-            print("ci: trace bench smoke passed "
-                  f"(peak-mem ratio {report['peak_mem_ratio']:.3f})")
-    if exit_code == 0 and not args.skip_bench:
-        # Zero-copy telemetry: blocks gathered from pool columns must
-        # leave byte-identical stores to the per-entry object oracle,
-        # serial and parallel.  Equivalence only — never timing.
-        from repro.engine.bench import zero_copy_equivalence
-
-        print("ci: running zero-copy telemetry equivalence smoke ...")
-        report = zero_copy_equivalence(clusters=1, machines=2, jobs=4,
-                                       hours=0.25)
-        if not report["equivalent"]:
-            print("ci: zero-copy telemetry smoke FAILED "
-                  "(block ingest diverged from the per-entry oracle)",
-                  file=sys.stderr)
-            exit_code = 1
-        else:
-            print("ci: zero-copy telemetry smoke passed "
-                  f"({report['rows']} rows byte-identical across "
-                  "block and entry paths, serial and parallel)")
-    if exit_code == 0 and not args.skip_bench:
         # The canary-controller smoke: a deliberately SLO-breaching
-        # policy must be rolled back (never promoted), the decision must
-        # be bit-identical serial vs parallel, and a zero-telemetry soak
-        # must fail closed.
+        # policy must be rolled back (never promoted), and a
+        # zero-telemetry soak must fail closed.
         from repro.autotuner import canary_smoke
 
         print("ci: running canary controller smoke ...")
@@ -667,7 +504,7 @@ def cmd_ci(args: argparse.Namespace) -> int:
             exit_code = 1
         else:
             print("ci: canary smoke passed (breach rolled back, "
-                  "serial==parallel, fail-closed on silence)")
+                  "fail-closed on silence)")
     print("ci: " + ("clean" if exit_code == 0 else "FAILED"))
     return exit_code
 
@@ -749,36 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write to this file instead of stdout")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("bench",
-                       help="fleet or trace-store throughput harness")
-    p.add_argument("--trace", action="store_true",
-                   help="benchmark the columnar trace store (ingest "
-                        "throughput, compile-from-columns vs the object "
-                        "path) instead of the fleet engine")
-    p.add_argument("--clusters", type=int, default=4)
-    p.add_argument("--machines", type=int, default=50,
-                   help="machines per cluster (fleet section)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="jobs per machine (fleet, default 1) or traces "
-                        "in the synthetic fleet (--trace, default 24)")
-    p.add_argument("--hours", type=float, default=1.0,
-                   help="simulated hours per run")
-    p.add_argument("--intervals", type=int, default=288,
-                   help="5-minute periods per trace (--trace only)")
-    p.add_argument("--configs", type=int, default=8,
-                   help="configurations per batch (--trace only)")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers (default: min(4, cpus))")
-    p.add_argument("--barrier-seconds", type=int, default=60,
-                   help="engine barrier interval in simulated seconds")
-    p.add_argument("--quick", action="store_true",
-                   help="small fast configuration (CI smoke run)")
-    p.add_argument("--output", default="BENCH_fleet.json",
-                   help="report file (with --trace the default becomes "
-                        "BENCH_trace.json)")
-    p.set_defaults(func=cmd_bench)
-
     p = sub.add_parser(
         "trace",
         help="inspect/convert columnar trace stores",
@@ -836,9 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "sink outage + incompressible storm)")
     p.add_argument("--chaos-seed", type=int, default=0,
                    help="root seed for the fault schedule")
-    p.add_argument("--workers", type=int, default=None,
-                   help="run under the parallel engine with this many "
-                        "workers (default: serial)")
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
@@ -875,12 +679,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "scenario")
     p.add_argument("--chaos-seed", type=int, default=0,
                    help="root seed for the fault schedule")
-    p.add_argument("--workers", type=int, default=None,
-                   help="soak through the parallel engine with this many "
-                        "workers (default: serial)")
     p.add_argument("--smoke", action="store_true",
                    help="run the CI smoke instead (breach rollback, "
-                        "serial==parallel decisions, fail-closed gate)")
+                        "fail-closed gate)")
     p.set_defaults(func=cmd_canary)
 
     p = sub.add_parser(
@@ -894,11 +695,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run only the lint half of the gate")
     p.add_argument("--skip-flow", action="store_true",
                    help="skip the whole-program flow passes "
-                        "(FLOW001/FLOW002/CON001/CON002); local per-file "
+                        "(FLOW001/CON001/CON002); local per-file "
                         "rules still run")
     p.add_argument("--skip-bench", action="store_true",
-                   help="skip the quick equivalence smokes (trace bench, "
-                        "zero-copy telemetry, canary)")
+                   help="skip the canary controller smoke")
     p.add_argument("pytest_args", nargs=argparse.REMAINDER,
                    help="extra arguments forwarded to pytest verbatim "
                         "(put them after any ci flags)")
@@ -920,8 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run only this rule id (repeatable)")
     p.add_argument("--flow", action="store_true",
                    help="also run the whole-program flow passes "
-                        "(FLOW001 taint, FLOW002 fork closure, "
-                        "CON001/CON002 column contracts); the call graph "
+                        "(FLOW001 taint, CON001/CON002 column contracts); "
+                        "the call graph "
                         "is cached under .repro-cache/")
     p.add_argument("--baseline", default=None, metavar="FILE",
                    help="report only findings absent from this baseline")

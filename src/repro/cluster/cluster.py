@@ -108,7 +108,14 @@ class Cluster:
         self.registry = registry if registry is not None else get_registry()
         self.tracer = tracer if tracer is not None else get_tracer()
 
-        self._wire_event_bridge()
+        # Bridge the event log into the registry (events -> counter).
+        events_counter = self.registry.counter(
+            MetricName.EVENTS_TOTAL,
+            "Simulation events recorded, by event kind.", ("kind",)
+        )
+        self.events.subscribe(
+            "", lambda event: events_counter.labels(kind=event.kind).inc()
+        )
 
         self.machines: List[Machine] = [
             Machine(
@@ -161,48 +168,6 @@ class Cluster:
         self._job_source = None
         self._target_population = 0
         self.fault_injector = None
-
-    def _wire_event_bridge(self) -> None:
-        """Bridge the event log into the registry (events -> counter).
-
-        The subscription closure is process-local (EventLog drops
-        subscribers on pickle), so this is called both at construction and
-        from :meth:`rebind_runtime` after a cross-process move.
-        """
-        events_counter = self.registry.counter(
-            MetricName.EVENTS_TOTAL,
-            "Simulation events recorded, by event kind.", ("kind",)
-        )
-        self.events.subscribe(
-            "", lambda event: events_counter.labels(kind=event.kind).inc()
-        )
-
-    def rebind_runtime(self, registry: MetricRegistry, tracer: Tracer,
-                       trace_db: TraceDatabase) -> None:
-        """Re-attach a cluster that crossed a process boundary.
-
-        An unpickled cluster carries its own forked registry/tracer copies,
-        an empty event-subscriber list, and a private trace database.  The
-        parallel engine calls this after swapping worker clusters back into
-        the parent fleet so every metric handle, span, subscription, and
-        telemetry sink points at the parent's live objects again.
-        """
-        self.registry = registry
-        self.tracer = tracer
-        self.trace_db = trace_db
-        # A cluster rebound *in place* (engine shard fallback) still has
-        # its previous bridge subscribed; clear before re-wiring so events
-        # are never double-counted.  Unpickled clusters arrive with an
-        # empty subscriber list, so this is a no-op on the common path.
-        self.events.clear_subscribers()
-        self._wire_event_bridge()
-        for machine in self.machines:
-            machine.rebind_observability(registry, tracer)
-        for agent in self.agents.values():
-            agent.rebind_observability(registry, tracer)
-        for exporter in self.exporters.values():
-            exporter.rebind_observability(registry, tracer)
-            exporter.sink = trace_db
 
     # ------------------------------------------------------------------
     # Job lifecycle
@@ -307,10 +272,9 @@ class Cluster:
         """Install a :class:`repro.faults.FaultInjector` on this cluster.
 
         The injector fires inside :meth:`tick` — *before* jobs, daemons,
-        agents, and exporters run — so faults land at the same simulated
-        instant whether the cluster ticks in-process or inside a parallel
-        engine worker.  That placement is what keeps chaos runs replayable
-        bit-for-bit across execution modes.
+        agents, and exporters run — so faults land at a fixed simulated
+        instant of the tick, which keeps chaos runs replayable
+        bit-for-bit for the same seeds.
         """
         self.fault_injector = injector
         injector.bind(self)

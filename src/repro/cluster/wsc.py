@@ -53,68 +53,34 @@ class WSC:
     ):
         if not clusters:
             raise ValueError("a WSC needs at least one cluster")
-        self._clusters = list(clusters)
-        self._machines_cache: Optional[List] = None
+        self.clusters: List[Cluster] = list(clusters)
+        #: Every machine in the fleet, cluster by cluster.
+        self.machines: List = [m for c in self.clusters for m in c.machines]
         self.trace_db = trace_db
         self.sli_history: List[SliSample] = []
         self.registry = registry if registry is not None else get_registry()
         self.tracer = tracer if tracer is not None else get_tracer()
 
     @property
-    def clusters(self) -> List[Cluster]:
-        """Member clusters.  Assigning a new list invalidates the machine
-        cache; mutating the list in place requires calling
-        :meth:`invalidate_caches` by hand."""
-        return self._clusters
-
-    @clusters.setter
-    def clusters(self, clusters: Sequence[Cluster]) -> None:
-        if not clusters:
-            raise ValueError("a WSC needs at least one cluster")
-        self._clusters = list(clusters)
-        self.invalidate_caches()
-
-    def invalidate_caches(self) -> None:
-        """Drop cached aggregates derived from the cluster list."""
-        self._machines_cache = None
-
-    @property
-    def machines(self) -> List:
-        """Every machine in the fleet (cached; see :attr:`clusters`)."""
-        if self._machines_cache is None:
-            self._machines_cache = [
-                m for c in self._clusters for m in c.machines
-            ]
-        return self._machines_cache
-
-    @property
     def now(self) -> int:
         """Fleet time (clusters share a logical clock)."""
-        return self._clusters[0].clock.now
+        return self.clusters[0].clock.now
 
-    def run(self, seconds: int, collect_sli: bool = True,
-            engine=None) -> None:
+    def run(self, seconds: int, collect_sli: bool = True) -> None:
         """Advance every cluster by ``seconds``, in lockstep ticks.
 
         Args:
             seconds: simulated seconds to advance.
             collect_sli: drain per-cluster SLI samples into
                 :attr:`sli_history` each tick.
-            engine: optional :class:`repro.engine.FleetEngine` bound to
-                this fleet; when given, execution is delegated to it
-                (parallel across worker processes where possible) with
-                results guaranteed identical to the serial path.
         """
         check_positive(seconds, "seconds")
-        if engine is not None:
-            engine.run(seconds, collect_sli=collect_sli)
-            return
         end = self.now + seconds
         while self.now < end:
-            for cluster in self._clusters:
+            for cluster in self.clusters:
                 cluster.tick()
             if collect_sli:
-                for cluster in self._clusters:
+                for cluster in self.clusters:
                     self.sli_history.extend(cluster.drain_sli_samples())
 
     def deploy_policy(self, policy: object) -> None:
@@ -340,8 +306,7 @@ def quickfleet(
         if churn_duration_range is not None:
             # Each cluster gets its own churn generator so replacement-job
             # draws depend only on that cluster's history, never on how
-            # clusters interleave — the property that lets the parallel
-            # engine shard clusters across workers (repro.engine).
+            # clusters interleave.
             churn_generator = FleetMixGenerator(
                 seeds=seeds.fork("churn", index=c),
                 mean_cold_fraction=mean_cold_fraction,

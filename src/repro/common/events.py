@@ -93,17 +93,6 @@ class EventLog:
     def __iter__(self) -> Iterator[Event]:
         return iter(self._events)
 
-    def __getstate__(self) -> Dict[str, Any]:
-        """Pickle without subscribers (callbacks are process-local closures).
-
-        The parallel engine ships whole clusters between processes; the
-        owner is expected to re-subscribe its bridges after unpickling
-        (see ``Cluster.rebind_runtime``).
-        """
-        state = self.__dict__.copy()
-        state["_subscribers"] = []
-        return state
-
     def subscribe(
         self, kind_prefix: str, callback: Callable[[Event], None]
     ) -> Callable[[], None]:
@@ -129,16 +118,6 @@ class EventLog:
                 pass
 
         return unsubscribe
-
-    def clear_subscribers(self) -> None:
-        """Drop every subscription.
-
-        Used when a log's owner re-wires its bridges in place (e.g. the
-        parallel engine re-binding a cluster it never pickled): clearing
-        first keeps the re-subscription from stacking a duplicate callback
-        that would double-count every future event.
-        """
-        self._subscribers.clear()
 
     def record(self, time: int, kind: str, **payload: Any) -> Event:
         """Append and return a new event (notifying subscribers first)."""

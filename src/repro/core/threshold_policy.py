@@ -283,8 +283,8 @@ class ColdAgeThresholdPolicy:
 # *which* cold-memory detection algorithm is running — only that each job
 # gets a controller it can drive once per control interval.  A
 # :class:`ColdMemoryPolicy` is the deployable unit: an immutable value
-# object (hashable, comparable, pickle-safe across the parallel engine's
-# fork boundary) that builds per-job controllers on demand.  Swapping the
+# object (hashable, comparable) that builds per-job controllers on
+# demand.  Swapping the
 # paper's §4.3 algorithm for a baseline (Thermostat, fixed threshold) is a
 # one-line change at the deployment site and touches nothing below it.
 

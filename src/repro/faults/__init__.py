@@ -4,7 +4,7 @@ Chaos layer for the reproduction: seeded :class:`FaultPlan` schedules
 (machine crash/repair, telemetry-sink outages, incompressible storms,
 compression failures, memory-pressure spikes, histogram corruption)
 executed by a :class:`FaultInjector` from inside ``Cluster.tick``, so a
-chaos run replays bit-for-bit under both the serial and parallel engines.
+chaos run replays bit-for-bit for the same seeds.
 
 See ``docs/fault_injection.md`` for the scenario catalog and the degraded
 modes each consumer implements.

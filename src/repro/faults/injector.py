@@ -2,18 +2,17 @@
 
 The injector is attached to a cluster (``cluster.attach_fault_injector``)
 and fires from the top of ``Cluster.tick`` — before jobs, daemons, agents,
-and exporters run — so a fault lands at the same simulated instant no
-matter which process executes the tick.  Everything the injector does is
-driven by the plan plus :class:`~repro.common.rng.SeedSequenceFactory`
-streams, which is what keeps chaos runs bit-for-bit identical between the
-serial and parallel engines.
+and exporters run — so a fault lands at a fixed simulated instant of the
+tick.  Everything the injector does is driven by the plan plus
+:class:`~repro.common.rng.SeedSequenceFactory` streams, which is what
+keeps chaos runs bit-for-bit identical for the same seeds.
 
 Episodic faults are *level-triggered*: while an episode is open the
 injector re-asserts the degraded state on every tick (re-wrapping a
 telemetry sink, re-pinning the zswap payload cutoff).  That makes the
-layer robust against runtime rewiring — ``Cluster.rebind_runtime`` resets
-``exporter.sink`` after a cross-process move, and a level-triggered
-outage simply wraps it again on the next tick.
+layer robust against anything that rewires a consumer mid-episode — if
+``exporter.sink`` is reset, a level-triggered outage simply wraps it
+again on the next tick.
 """
 
 from __future__ import annotations
@@ -45,9 +44,8 @@ class SinkUnavailableError(ReproError):
 class BrokenSink:
     """A trace sink stand-in that refuses every ``add``.
 
-    Module-level (not a closure) so a cluster mid-outage still pickles
-    across the parallel engine's fork boundary.  The wrapped sink is kept
-    on ``inner`` so the injector can unwrap it when the episode ends.
+    The wrapped sink is kept on ``inner`` so the injector can unwrap it
+    when the episode ends.
     """
 
     def __init__(self, inner: Any):
@@ -80,7 +78,7 @@ class FaultInjector:
 
     The injector holds no metric handles or subscriber closures of its
     own — counters and events are resolved through the cluster at fire
-    time — so it pickles cleanly with the cluster it is attached to.
+    time.
     """
 
     def __init__(self, plan: FaultPlan, seeds: SeedSequenceFactory):

@@ -7,7 +7,7 @@ the control plane degrades instead of violating the promotion SLO.  A
 sorted schedule of :class:`FaultEvent` records, generated from
 :class:`repro.common.rng.SeedSequenceFactory` streams so the exact same
 faults land at the exact same simulated instants on every replay —
-serial or parallel, today or in CI next year.
+today or in CI next year.
 
 Plans are *data*; the side effects live in
 :class:`repro.faults.injector.FaultInjector`.

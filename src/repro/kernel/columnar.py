@@ -30,8 +30,7 @@ model's fleet-wide array replay.
 Every machine owns exactly one pool, which its own kstaled scans and its
 own kreclaimd reclaims — the paper's per-machine daemons (§5.1).  Select
 the backend with ``MachineConfig(kernel="columnar")``; everything
-downstream (node agent, telemetry, faults, the parallel engine) is
-unaware of the layout.
+downstream (node agent, telemetry, faults) is unaware of the layout.
 """
 
 from __future__ import annotations
@@ -192,17 +191,6 @@ class ColumnarMemCg(MemCg):
         if self._pool is not None:
             self._pool.refresh_row_threshold(self)
 
-    def __getstate__(self):
-        # The views alias pool storage: pickling them would ship detached
-        # copies (and double the payload).  Drop them — the pool carries
-        # the data, and ``Machine.__setstate__`` rebinds on arrival.
-        state = self.__dict__.copy()
-        for attr, _field in _VIEW_BINDINGS:
-            state.pop(attr, None)
-        state.pop("cold_age_histogram", None)
-        state.pop("promotion_histogram", None)
-        return state
-
 
 class MachinePagePool:
     """Machine-wide columnar storage for every memcg's page state.
@@ -343,7 +331,7 @@ class MachinePagePool:
         self.row_reclaim_thr[memcg._pool_row] = encoded
 
     def rebind_all(self) -> None:
-        """Rebind every live memcg (after unpickling or storage growth)."""
+        """Rebind every live memcg (after storage growth)."""
         for memcg in self.row_memcg:
             if memcg is not None:
                 self.bind(memcg)

@@ -61,9 +61,6 @@ class Kreclaimd:
 
         registry = registry if registry is not None else get_registry()
         self._tracer = tracer if tracer is not None else get_tracer()
-        self._bind_metrics(registry)
-
-    def _bind_metrics(self, registry: MetricRegistry) -> None:
         self._m_runs = registry.counter(
             MetricName.KRECLAIMD_RUNS_TOTAL,
             "Completed kreclaimd reclaim passes.", ("machine",)
@@ -72,12 +69,6 @@ class Kreclaimd:
             MetricName.PAGES_RECLAIMED_TOTAL,
             "Pages moved to far memory by proactive reclaim.", ("machine",)
         ).labels(machine=self.machine_id)
-
-    def rebind_observability(self, registry: MetricRegistry,
-                             tracer: Tracer) -> None:
-        """Re-point metric handles and tracer after a cross-process move."""
-        self._tracer = tracer
-        self._bind_metrics(registry)
 
     def run(
         self,

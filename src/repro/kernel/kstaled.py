@@ -62,10 +62,6 @@ class Kstaled:
 
         registry = registry if registry is not None else get_registry()
         self._tracer = tracer if tracer is not None else get_tracer()
-        self._bind_metrics(registry)
-
-    def _bind_metrics(self, registry: MetricRegistry) -> None:
-        machine_id = self.machine_id
         self._m_pages = registry.counter(
             MetricName.PAGES_SCANNED_TOTAL,
             "Pages examined by kstaled accessed-bit scans.", ("machine",)
@@ -79,12 +75,6 @@ class Kstaled:
             "Modelled kstaled CPU seconds (paper budget: <11% of a core).",
             ("machine",)
         ).labels(machine=machine_id)
-
-    def rebind_observability(self, registry: MetricRegistry,
-                             tracer: Tracer) -> None:
-        """Re-point metric handles and tracer after a cross-process move."""
-        self._tracer = tracer
-        self._bind_metrics(registry)
 
     def maybe_scan(
         self,

@@ -165,10 +165,6 @@ class Machine:
                                    registry=self.registry, tracer=self.tracer)
         self.direct_reclaim = DirectReclaim(self.zswap)
         self.now = 0
-        self._bind_metrics()
-
-    def _bind_metrics(self) -> None:
-        machine_id = self.machine_id
         self._m_promoted = self.registry.counter(
             MetricName.PAGES_PROMOTED_TOTAL,
             "Far pages faulted back to DRAM (promotions).", ("machine",)
@@ -181,25 +177,6 @@ class Machine:
             MetricName.FAR_PAGES,
             "Pages currently stored compressed.", ("machine",)
         ).labels(machine=machine_id)
-
-    def rebind_observability(self, registry: MetricRegistry,
-                             tracer: Tracer) -> None:
-        """Re-point this machine (and its daemons) at a new registry/tracer.
-
-        The parallel engine ships clusters across processes by pickle;
-        unpickled machines carry their own forked registry copies, so the
-        parent re-binds every metric handle to its live registry and
-        re-injects the machine-labelled promotion counter into each memcg.
-        """
-        self.registry = registry
-        self.tracer = tracer
-        self._bind_metrics()
-        for memcg in self.memcgs.values():
-            memcg.promoted_counter = self._m_promoted
-        self.arena.rebind_observability(registry, tracer)
-        self.zswap.rebind_observability(registry, tracer)
-        self.kstaled.rebind_observability(registry, tracer)
-        self.kreclaimd.rebind_observability(registry, tracer)
 
     # ------------------------------------------------------------------
     # Memory accounting
@@ -377,15 +354,6 @@ class Machine:
         if self.config.mode is not FarMemoryMode.PROACTIVE:
             return 0
         return self.kreclaimd.run(self.memcgs.values(), pool=self.pool)
-
-    def __setstate__(self, state: dict) -> None:
-        # The parallel engine ships machines by pickle.  Columnar memcgs
-        # arrive without their view arrays (see
-        # ``ColumnarMemCg.__getstate__``); the pool carries the data, so
-        # rebind every memcg to its segment on this side of the fork.
-        self.__dict__.update(state)
-        if self.pool is not None:
-            self.pool.rebind_all()
 
     def _memcg(self, job_id: str) -> MemCg:
         memcg = self.memcgs.get(job_id)

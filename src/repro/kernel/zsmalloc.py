@@ -131,9 +131,6 @@ class ZsmallocArena:
 
         registry = registry if registry is not None else get_registry()
         self._tracer = tracer if tracer is not None else get_tracer()
-        self._bind_metrics(registry)
-
-    def _bind_metrics(self, registry: MetricRegistry) -> None:
         self._m_compactions = registry.counter(
             MetricName.ARENA_COMPACTIONS_TOTAL,
             "Explicit zsmalloc arena compactions.", ("machine",)
@@ -142,12 +139,6 @@ class ZsmallocArena:
             MetricName.ARENA_COMPACTION_RELEASED_BYTES_TOTAL,
             "Bytes released by arena compaction.", ("machine",)
         ).labels(machine=self.machine_id)
-
-    def rebind_observability(self, registry: MetricRegistry,
-                             tracer: Tracer) -> None:
-        """Re-point metric handles and tracer after a cross-process move."""
-        self._tracer = tracer
-        self._bind_metrics(registry)
 
     def class_bytes_for(self, payload_bytes: int) -> int:
         """The size class a payload of this size lands in."""

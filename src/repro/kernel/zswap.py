@@ -116,9 +116,6 @@ class Zswap:
 
         registry = registry if registry is not None else get_registry()
         self._tracer = tracer if tracer is not None else get_tracer()
-        self._bind_metrics(registry)
-
-    def _bind_metrics(self, registry: MetricRegistry) -> None:
         label = dict(machine=self.machine_id)
         self._m_compressed = registry.counter(
             MetricName.PAGES_COMPRESSED_TOTAL,
@@ -147,12 +144,6 @@ class Zswap:
             "Modelled CPU seconds decompressing on promotion faults.",
             ("machine",)
         ).labels(**label)
-
-    def rebind_observability(self, registry: MetricRegistry,
-                             tracer: Tracer) -> None:
-        """Re-point metric handles and tracer after a cross-process move."""
-        self._tracer = tracer
-        self._bind_metrics(registry)
 
     def pool_full(self) -> bool:
         """True when the pool cap is set and the arena has reached it."""

@@ -305,9 +305,7 @@ class TelemetryBlock:
     def from_entries(cls, entries: Sequence[TraceEntry]) -> "TelemetryBlock":
         """Pack trace entries into a block (the object-path bridge).
 
-        Used by the equivalence oracle and by mixed merges (e.g. a
-        degraded engine shard that staged entries).  Row order is the
-        entry order.
+        Used by the equivalence oracle.  Row order is the entry order.
 
         Raises:
             TraceError: on an empty sequence or mixed threshold grids.
@@ -397,112 +395,6 @@ class TelemetryBlock:
                 cpu_cores=float(self.cpu_cores[i]),
             ))
         return out
-
-    @classmethod
-    def concat(cls, blocks: Sequence["TelemetryBlock"]) -> "TelemetryBlock":
-        """Concatenate blocks row-wise, merging the string tables.
-
-        The parallel engine's barrier merge concatenates per-shard block
-        deltas in deterministic shard order; string tables merge
-        first-seen, and ordinal columns are remapped through a lookup
-        vector (no per-row Python work).
-
-        Raises:
-            TraceError: on an empty sequence or mixed threshold grids.
-        """
-        if not blocks:
-            raise TraceError("cannot concatenate zero TelemetryBlocks")
-        if len(blocks) == 1:
-            return blocks[0]
-        bins = blocks[0].bins
-        job_table: List[str] = []
-        job_index: Dict[str, int] = {}
-        machine_table: List[str] = []
-        machine_index: Dict[str, int] = {}
-        job_cols: List[np.ndarray] = []
-        machine_cols: List[np.ndarray] = []
-        for block in blocks:
-            if block.bins.thresholds != bins.thresholds:
-                raise TraceError(
-                    "cannot concatenate TelemetryBlocks with different "
-                    "threshold grids"
-                )
-            for table, merged, index, col, out in (
-                (block.job_table, job_table, job_index, block.job, job_cols),
-                (block.machine_table, machine_table, machine_index,
-                 block.machine, machine_cols),
-            ):
-                lut = np.empty(len(table), dtype=np.int64)
-                for i, name in enumerate(table):
-                    ordinal = index.get(name)
-                    if ordinal is None:
-                        ordinal = len(merged)
-                        index[name] = ordinal
-                        merged.append(name)
-                    lut[i] = ordinal
-                out.append(lut[col])
-        merged_columns = {
-            name: np.concatenate([getattr(b, name) for b in blocks])
-            for name in (
-                "time", "working_set_pages", "resident_pages", "cpu_cores",
-                "promotion_counts", "promotion_young", "cold_counts",
-                "cold_young",
-            )
-        }
-        return cls(
-            bins=bins,
-            job_table=job_table,
-            machine_table=machine_table,
-            job=np.concatenate(job_cols),
-            machine=np.concatenate(machine_cols),
-            **merged_columns,
-        )
-
-    def sorted_by_time_job(self) -> "TelemetryBlock":
-        """Rows stably re-ordered by ``(time, job_id)``, tables canonical.
-
-        The same canonical cross-job order the parallel engine's entry
-        merge uses (ties keep their current relative order, so per-shard
-        per-job sequences survive intact).  The string tables are rebuilt
-        in first-appearance order of the sorted rows — so a consumer that
-        interns ids row by row (the trace store) assigns exactly the
-        ordinals it would have assigned to the equivalent entry stream,
-        regardless of how this block was assembled.
-        """
-        if self.n_rows == 0:
-            return self
-        names = np.asarray(self.job_table, dtype=np.str_)[self.job]
-        order = np.lexsort((names, self.time))
-        job_col = self.job[order]
-        machine_col = self.machine[order]
-        tables = {}
-        for key, col, table in (
-            ("job", job_col, self.job_table),
-            ("machine", machine_col, self.machine_table),
-        ):
-            uniq, first_at = np.unique(col, return_index=True)
-            seen_order = np.argsort(first_at, kind="stable")
-            lut = np.empty(len(table), dtype=np.int64)
-            lut[uniq[seen_order]] = np.arange(seen_order.size)
-            tables[key] = (
-                [table[int(uniq[i])] for i in seen_order],
-                lut[col],
-            )
-        return TelemetryBlock(
-            bins=self.bins,
-            job_table=tables["job"][0],
-            machine_table=tables["machine"][0],
-            job=tables["job"][1],
-            machine=tables["machine"][1],
-            time=self.time[order],
-            working_set_pages=self.working_set_pages[order],
-            resident_pages=self.resident_pages[order],
-            cpu_cores=self.cpu_cores[order],
-            promotion_counts=self.promotion_counts[order],
-            promotion_young=self.promotion_young[order],
-            cold_counts=self.cold_counts[order],
-            cold_young=self.cold_young[order],
-        )
 
 
 @dataclass

@@ -103,7 +103,6 @@ class MetricName:
     # Fault injection & graceful degradation (repro.faults)
     FAULTS_INJECTED_TOTAL = "repro_faults_injected_total"
     DEGRADED_MODE = "repro_degraded_mode"
-    ENGINE_SHARD_FALLBACKS_TOTAL = "repro_engine_shard_fallbacks_total"
 
     # Columnar trace store (repro.tracestore)
     TRACESTORE_ROWS_TOTAL = "repro_tracestore_rows_total"
@@ -635,121 +634,6 @@ class MetricRegistry:
         return "\n".join(
             json.dumps(record, sort_keys=True) for record in self.snapshot()
         ) + ("\n" if self._metrics else "")
-
-    # ------------------------------------------------------------------
-    # Cross-registry folding (parallel shard -> parent merge)
-    # ------------------------------------------------------------------
-
-    def baseline(self) -> Dict[Tuple[str, Tuple[Tuple[str, str], ...]], object]:
-        """Raw per-series values keyed by (name, label pairs).
-
-        Pass the result to :meth:`delta` later to get only what changed in
-        between — the shard-side half of the parallel-engine merge
-        protocol.
-        """
-        base: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], object] = {}
-        for metric in self.metrics():
-            for pairs, series in metric.series():
-                key = (metric.name, pairs)
-                if isinstance(metric, Histogram):
-                    base[key] = (
-                        tuple(series.bucket_counts), series.sum, series.count
-                    )
-                else:
-                    base[key] = series.value
-        return base
-
-    def delta(self, baseline: Dict) -> List[Dict[str, object]]:
-        """Snapshot-shaped records for series that changed since ``baseline``.
-
-        Counters report the *increment* (not the absolute value), gauges
-        the current value, histograms the per-bucket count increments plus
-        sum/count increments.  Unchanged series are omitted entirely — in
-        a forked worker this is what keeps one shard from shipping stale
-        fork-time copies of other shards' series.  Records carry ``help``
-        so :meth:`merge` can register missing families.
-        """
-        records: List[Dict[str, object]] = []
-        for metric in self.metrics():
-            for pairs, series in metric.series():
-                prev = baseline.get((metric.name, pairs))
-                record: Dict[str, object] = {
-                    "name": metric.name,
-                    "kind": metric.kind,
-                    "help": metric.help_text,
-                    "labels": dict(pairs),
-                }
-                if isinstance(metric, Histogram):
-                    prev_counts, prev_sum, prev_count = (
-                        prev if prev is not None
-                        else ((0,) * len(series.bucket_counts), 0.0, 0)
-                    )
-                    bucket_deltas = [
-                        c - p for c, p in zip(series.bucket_counts, prev_counts)
-                    ]
-                    if series.count == prev_count and not any(bucket_deltas):
-                        continue
-                    record["count"] = series.count - prev_count
-                    record["sum"] = series.sum - prev_sum
-                    record["buckets"] = [
-                        {"le": upper, "count": count}
-                        for upper, count in zip(series.uppers, bucket_deltas)
-                    ] + [{"le": "+Inf", "count": bucket_deltas[-1]}]
-                elif metric.kind == "counter":
-                    increment = series.value - (prev if prev is not None else 0.0)
-                    if increment == 0.0:
-                        continue
-                    record["value"] = increment
-                else:  # gauge: ship the absolute value when it changed
-                    if prev is not None and series.value == prev:
-                        continue
-                    record["value"] = series.value
-                records.append(record)
-        return records
-
-    def merge(self, source: "MetricRegistry | List[Dict[str, object]]") -> None:
-        """Fold another registry (or a :meth:`delta` record list) into this one.
-
-        Counters are incremented by the record value, gauges set, histogram
-        buckets/sum/count added.  Families are registered on demand (with
-        the record's help text), so merging into a fresh registry works;
-        merging into a registry that already holds the family reuses it
-        (help text is not compared, matching :meth:`_register`).
-        """
-        if not self.enabled:
-            return
-        if isinstance(source, MetricRegistry):
-            source = source.delta({})
-        for record in source:
-            name = str(record["name"])
-            kind = record["kind"]
-            labels = dict(record.get("labels") or {})
-            labelnames = tuple(labels)
-            help_text = str(record.get("help", ""))
-            if kind == "counter":
-                series = self.counter(name, help_text, labelnames).labels(**labels)
-                series.inc(record["value"])
-            elif kind == "gauge":
-                series = self.gauge(name, help_text, labelnames).labels(**labels)
-                series.set(record["value"])
-            elif kind == "histogram":
-                buckets = record["buckets"]
-                uppers = tuple(float(b["le"]) for b in buckets[:-1])
-                family = self.histogram(name, help_text, labelnames,
-                                        buckets=uppers)
-                series = family.labels(**labels)
-                if len(series.bucket_counts) != len(buckets):
-                    raise MetricError(
-                        f"{name}: cannot merge histogram with "
-                        f"{len(buckets)} buckets into a family with "
-                        f"{len(series.bucket_counts)}"
-                    )
-                for i, bucket in enumerate(buckets):
-                    series.bucket_counts[i] += int(bucket["count"])
-                series.sum += float(record["sum"])
-                series.count += int(record["count"])
-            else:
-                raise MetricError(f"{name}: unknown metric kind {kind!r}")
 
 
 #: A permanently disabled registry for code that wants observability off.

@@ -212,25 +212,6 @@ class Tracer:
         """Wall time across top-level work (self time summed everywhere)."""
         return sum(s.self_seconds for s in self._stats.values())
 
-    def merge(self, stats: Dict[str, SpanStats]) -> None:
-        """Fold another tracer's aggregate statistics into this one.
-
-        Used by the parallel engine to account worker-process spans in the
-        parent's profile.  Raw span records are not transferred — only the
-        per-name aggregates the flame table is built from.
-        """
-        if not self.enabled:
-            return
-        for name, other in stats.items():
-            mine = self._stats.get(name)
-            if mine is None:
-                mine = SpanStats(name)
-                self._stats[name] = mine
-            mine.calls += other.calls
-            mine.wall_seconds += other.wall_seconds
-            mine.child_seconds += other.child_seconds
-            mine.max_seconds = max(mine.max_seconds, other.max_seconds)
-
     def reset(self) -> None:
         """Drop all statistics and records."""
         self._stack.clear()

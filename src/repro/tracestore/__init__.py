@@ -5,8 +5,8 @@ The paper's control loop assumes fleet-wide trace retention
 fixed-schema ``.npz`` segments with a JSON manifest, incremental
 per-window aggregation, and downsampling for old segments — and exposes
 it behind the same duck-typed surface as the in-memory
-:class:`~repro.cluster.trace_db.TraceDatabase` so agents, the fault
-injector, and the parallel engine need no changes.
+:class:`~repro.cluster.trace_db.TraceDatabase` so agents and the
+fault injector need no changes.
 """
 
 from repro.tracestore.database import ColumnarTraceDatabase

@@ -2,12 +2,11 @@
 
 The in-memory :class:`~repro.cluster.trace_db.TraceDatabase` is the
 simulator's telemetry warehouse; everything that talks to it does so
-through duck typing — the ``TraceSink`` protocol (``add``), the parallel
-engine's delta shipping (``mark``/``entries_since``), and the model's
-trace reads (``trace_for``/``traces``).  This class implements the same
-surface on top of the columnar on-disk store, so a fleet can be wired to
-it with no changes to the node agent, the fault injector's sink-outage
-wrapper, or the engine:
+through duck typing — the ``TraceSink`` protocol (``add``) and the
+model's trace reads (``trace_for``/``traces``).  This class implements
+the same surface on top of the columnar on-disk store, so a fleet can be
+wired to it with no changes to the node agent or the fault injector's
+sink-outage wrapper:
 
     db = ColumnarTraceDatabase("run/traces")
     fleet = quickfleet(machines=..., trace_db=db)
@@ -23,9 +22,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import List, Optional, Sequence, Union
 
 from repro.common.errors import TraceError
 from repro.model.trace import (
@@ -48,9 +45,9 @@ class ColumnarTraceDatabase:
     """Append-only trace database persisted as columnar segments.
 
     Interface-compatible with
-    :class:`~repro.cluster.trace_db.TraceDatabase` (add / mark /
-    entries_since / trace_for / traces / save_jsonl / load_jsonl /
-    job_ids / len), backed by a :class:`TraceStore` directory.
+    :class:`~repro.cluster.trace_db.TraceDatabase` (add / trace_for /
+    traces / save_jsonl / load_jsonl / job_ids / len), backed by a
+    :class:`TraceStore` directory.
 
     Args:
         root: store directory (created if missing).
@@ -119,69 +116,6 @@ class ColumnarTraceDatabase:
     def close(self) -> None:
         """Flush and release the store."""
         self.store.close()
-
-    # ------------------------------------------------------------------
-    # Delta shipping (parallel engine)
-    # ------------------------------------------------------------------
-
-    def mark(self) -> Dict[str, int]:
-        """An opaque position marker for :meth:`entries_since`."""
-        return {job_id: self.store.job_rows(job_id) for job_id in self.store.jobs}
-
-    def entries_since(self, mark: Dict[str, int]) -> List[TraceEntry]:
-        """Entries added after ``mark`` was taken.
-
-        Per-job order is preserved; jobs are visited in insertion order.
-        When the delta is still entirely in the write buffer — the
-        steady state for the engine's per-barrier shipping — this reads
-        no segment files.
-        """
-        out: List[TraceEntry] = []
-        for job_id in self.store.jobs:
-            out.extend(self.store.entries_for(job_id, start=mark.get(job_id, 0)))
-        return out
-
-    def block_marker(self) -> int:
-        """An opaque position marker for :meth:`block_since`."""
-        return int(self.store.rows_total)
-
-    def block_since(self, marker: int) -> Optional[TelemetryBlock]:
-        """Rows appended after ``marker``, as one zero-copy block.
-
-        The columnar twin of :meth:`mark`/:meth:`entries_since` for the
-        parallel engine: a forked worker never seals segments (see
-        :meth:`TraceStore.flush`), so every row appended since the fork
-        is still pending and :meth:`TraceStore.pending_tail_columns`
-        hands back exactly the delta — in append order, without
-        materializing a single entry.  Returns None when nothing was
-        appended.  String tables are compacted to the jobs/machines the
-        delta actually references.
-        """
-        delta = self.store.rows_total - int(marker)
-        if delta <= 0:
-            return None
-        cols = self.store.pending_tail_columns(delta)
-        jobs = self.store.jobs
-        machines = self.store.machines
-        job_uniq, job_local = np.unique(cols["job"], return_inverse=True)
-        machine_uniq, machine_local = np.unique(
-            cols["machine"], return_inverse=True
-        )
-        return TelemetryBlock(
-            bins=self.store.bins,
-            job_table=[jobs[int(o)] for o in job_uniq],
-            machine_table=[machines[int(o)] for o in machine_uniq],
-            job=job_local.astype(np.int64),
-            machine=machine_local.astype(np.int64),
-            time=cols["time"],
-            working_set_pages=cols["working_set_pages"],
-            resident_pages=cols["resident_pages"],
-            cpu_cores=cols["cpu_cores"],
-            promotion_counts=cols["promotion_counts"],
-            promotion_young=cols["promotion_young"],
-            cold_counts=cols["cold_counts"],
-            cold_young=cols["cold_young"],
-        )
 
     # ------------------------------------------------------------------
     # Trace reads

@@ -43,8 +43,7 @@ class GeneratedPatternFactory:
 
     :class:`FleetMixGenerator` pre-draws the style and modulation
     parameters and captures them here instead of in a closure, so job
-    specs (and the clusters holding them) survive a trip through pickle —
-    a requirement of the parallel fleet engine.
+    specs stay comparable, printable value objects.
 
     Attributes:
         style: "poisson", "zipf", or "phased".

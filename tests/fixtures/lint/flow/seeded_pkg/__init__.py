@@ -4,8 +4,6 @@ Expected findings (asserted in tests/test_checks_flow.py):
 
 * FLOW001 in ``kernel/sweep.py`` — ``tick`` reaches ``time.time()``
   through ``util.helpers.jitter`` -> ``util.helpers.wall_now``;
-* FLOW002 in ``engine/par.py`` — ``Job`` stores an open file handle and
-  is constructed inside ``worker_main``;
 * CON001 (x2) and CON002 in ``kernel/sweep.py`` — ``Pool`` violates its
   ``COLUMN_CONTRACTS`` table;
 * ``tick_suppressed`` in ``kernel/sweep.py`` carries a sink-line

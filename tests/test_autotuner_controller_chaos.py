@@ -1,11 +1,11 @@
 """Chaos determinism for the online canary controller.
 
 Every fault scenario in :mod:`repro.faults` is replayed through a full
-canary round twice — once with serial soaks, once through the parallel
-``FleetEngine`` — and the two :class:`CanaryDecision`\\ s must agree
-bit-for-bit on :meth:`CanaryDecision.signature`, floats included. The
-controller has no wall clock and no RNG of its own, so any divergence
-here means nondeterminism leaked into the rollout path.
+canary round twice with the same seeds, and the two
+:class:`CanaryDecision`\\ s must agree bit-for-bit on
+:meth:`CanaryDecision.signature`, floats included. The controller has no
+wall clock and no RNG of its own, so any divergence here means
+nondeterminism leaked into the rollout path.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.core.threshold_policy import (
     FixedThresholdPolicy,
     PaperPolicy,
 )
-from repro.engine import FleetEngine
 from repro.faults import SCENARIO_NAMES, attach_scenario
 from repro.obs import MetricRegistry, Tracer
 
@@ -30,10 +29,8 @@ STAGES = (
 #: sink_outage's middle third (600..1200 s) blankets the first soak.
 SCENARIO_SECONDS = 1800
 
-WORKERS = 2
 
-
-def run_canary(scenario, policy, *, slo_limit, parallel, seed=31):
+def run_canary(scenario, policy, *, slo_limit, seed=31):
     registry, tracer = MetricRegistry(), Tracer()
     fleet = quickfleet(
         clusters=2,
@@ -48,29 +45,23 @@ def run_canary(scenario, policy, *, slo_limit, parallel, seed=31):
         fleet, scenario, duration_seconds=SCENARIO_SECONDS, seed=7
     )
     fleet.run(600)  # warm up under chaos
-    engine = FleetEngine(fleet, workers=WORKERS) if parallel else None
     controller = FleetController(
         fleet,
         stages=STAGES,
         slo_limit=slo_limit,
         registry=registry,
         tracer=tracer,
-        engine=engine,
     )
     return controller.canary(policy), fleet
 
 
-class TestDecisionsAreEngineInvariant:
+class TestDecisionsReplay:
     @pytest.mark.parametrize("scenario", SCENARIO_NAMES)
-    def test_serial_and_parallel_agree_bit_for_bit(self, scenario):
-        serial, _ = run_canary(
-            scenario, PaperPolicy(), slo_limit=0.2, parallel=False
-        )
-        parallel, _ = run_canary(
-            scenario, PaperPolicy(), slo_limit=0.2, parallel=True
-        )
-        assert serial.signature() == parallel.signature()
-        assert serial.reason in (
+    def test_same_seed_rounds_agree_bit_for_bit(self, scenario):
+        first, _ = run_canary(scenario, PaperPolicy(), slo_limit=0.2)
+        replay, _ = run_canary(scenario, PaperPolicy(), slo_limit=0.2)
+        assert first.signature() == replay.signature()
+        assert first.reason in (
             "promoted", "slo-breach", "insufficient-coverage"
         )
 
@@ -84,9 +75,7 @@ class TestRollbackUnderChaos:
         breaching = FixedThresholdPolicy(
             threshold_seconds=120.0, warmup_seconds=0
         )
-        decision, fleet = run_canary(
-            scenario, breaching, slo_limit=1e-6, parallel=True
-        )
+        decision, fleet = run_canary(scenario, breaching, slo_limit=1e-6)
         assert not decision.promoted
         for cluster in fleet.clusters:
             assert cluster.policy != breaching
@@ -96,8 +85,6 @@ class TestRollbackUnderChaos:
     def test_sink_outage_starves_the_canary_closed(self):
         # The blanket outage silences every machine across the first
         # soak: the controller must fail closed, not promote on silence.
-        decision, _ = run_canary(
-            "sink_outage", PaperPolicy(), slo_limit=1e9, parallel=False
-        )
+        decision, _ = run_canary("sink_outage", PaperPolicy(), slo_limit=1e9)
         assert not decision.promoted
         assert decision.reason == "insufficient-coverage"

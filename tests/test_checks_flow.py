@@ -36,11 +36,7 @@ from repro.checks.flow.callgraph import (
     extract_module,
     find_package_root,
 )
-from repro.checks.flow.taint import (
-    _propagate,
-    find_worker_entry_points,
-    run_fork_closure,
-)
+from repro.checks.flow.taint import _propagate
 from repro.cli import main as cli_main
 
 FLOW_FIXTURES = Path(__file__).parent / "fixtures" / "lint" / "flow"
@@ -176,40 +172,6 @@ class TestTaint:
         lines = f.render().splitlines()
         assert lines[0].startswith("seeded_pkg/kernel/sweep.py:")
         assert all(line.startswith("    ") for line in lines[1:])
-
-
-# ----------------------------------------------------------------------
-# FLOW002 fork closure
-# ----------------------------------------------------------------------
-
-
-class TestForkClosure:
-    def test_entry_point_convention(self):
-        graph = graph_for(SEEDED)
-        assert find_worker_entry_points(graph) == [
-            "seeded_pkg.engine.par.worker_main"
-        ]
-
-    def test_reachable_hazard_reported_with_chain(self):
-        findings = by_rule(run_flow([SEEDED]).findings, "FLOW002")
-        assert len(findings) == 1
-        f = findings[0]
-        assert "seeded_pkg.engine.par.Job" in f.message
-        assert "open file handle" in f.message
-        # Chain rebuilds constructor -> builder -> entry point.
-        assert any("build_job" in hop for hop in f.chain)
-        assert any("fork worker entry point" in hop for hop in f.chain)
-
-    def test_pickle_hooks_and_unreached_classes_stay_quiet(self):
-        messages = " ".join(
-            f.message for f in by_rule(run_flow([SEEDED]).findings, "FLOW002")
-        )
-        assert "SafeJob" not in messages
-        assert "UnreachedJob" not in messages
-
-    def test_no_entry_points_no_findings(self):
-        graph = graph_for(RESOLUTION)
-        assert run_fork_closure(graph) == []
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +327,7 @@ class TestReporters:
         run = document["runs"][0]
         assert run["tool"]["driver"]["name"] == "reprolint"
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"FLOW001", "FLOW002", "CON001", "CON002"} <= rule_ids
+        assert {"FLOW001", "CON001", "CON002"} <= rule_ids
         result = run["results"][0]
         assert result["ruleId"] == "FLOW001"
         location = result["locations"][0]["physicalLocation"]
@@ -438,7 +400,7 @@ class TestFlowCli:
         code = cli_main(["lint", "--flow", str(SEEDED)])
         out = capsys.readouterr().out
         assert code == 1
-        assert "FLOW001" in out and "FLOW002" in out
+        assert "FLOW001" in out
         assert "CON001" in out and "CON002" in out
         assert "helpers.wall_now" in out  # the chain is printed
 
@@ -448,11 +410,11 @@ class TestFlowCli:
 
     def test_lint_without_flow_skips_flow_rules(self, capsys):
         # The local rules still fire on the fixture (DET001 on the wall
-        # clock, FORK001 on the open()), but no flow/contract rule may.
+        # clock), but no flow/contract rule may.
         cli_main(["lint", str(SEEDED)])
         out = capsys.readouterr().out
         assert "DET001" in out
-        for rule_id in ("FLOW001", "FLOW002", "CON001", "CON002"):
+        for rule_id in ("FLOW001", "CON001", "CON002"):
             assert rule_id not in out
 
     def test_rule_filter_selects_single_flow_rule(self, capsys):
@@ -466,8 +428,8 @@ class TestFlowCli:
         document = json.loads(capsys.readouterr().out)
         assert document["version"] == "2.1.0"
         fired = {r["ruleId"] for r in document["runs"][0]["results"]}
-        # Local rules fire on the fixture too; all four flow rules must.
-        assert {"FLOW001", "FLOW002", "CON001", "CON002"} <= fired
+        # Local rules fire on the fixture too; all three flow rules must.
+        assert {"FLOW001", "CON001", "CON002"} <= fired
 
     def test_run_lint_flow_respects_baseline(self, tmp_path):
         baseline = tmp_path / "baseline.json"
@@ -481,7 +443,7 @@ class TestFlowCli:
         assert second.exit_code == 0, "\n" + second.report
 
     def test_flow_rules_registered_but_engine_skips_them(self):
-        for rule_id in ("FLOW001", "FLOW002", "CON001", "CON002"):
+        for rule_id in ("FLOW001", "CON001", "CON002"):
             rule = RULES[rule_id]
             assert getattr(rule, "flow_only", False)
             assert not rule.applies_to("repro/kernel/columnar.py")

@@ -10,11 +10,9 @@ from repro.checks.invariants import (
     InvariantViolation,
     check_machine_accounting,
     check_memcg_histogram,
-    check_merge_delta,
     invariants_enabled,
     set_invariants_enabled,
 )
-from repro.obs.metrics import MetricRegistry
 
 
 @pytest.fixture
@@ -94,43 +92,12 @@ class TestMemcgHistogram:
         memcg.scan_update()
 
 
-class TestMergeDelta:
-    def _delta(self, build):
-        registry = MetricRegistry()
-        build(registry)
-        return registry.delta({})
-
-    def test_clean_delta_passes(self):
-        def build(registry):
-            registry.counter("repro_events_total", "Events.").inc(3)
-            registry.histogram("repro_span_seconds", "Spans.").observe(0.5)
-
-        check_merge_delta(self._delta(build))  # does not raise
-
-    def test_trips_on_negative_counter(self):
-        records = [{"name": "repro_x_total", "kind": "counter", "value": -1.0}]
-        with pytest.raises(InvariantViolation, match="counter_monotonic"):
-            check_merge_delta(records)
-
-    def test_trips_on_lost_histogram_mass(self):
-        def build(registry):
-            registry.histogram("repro_span_seconds", "Spans.").observe(0.5)
-
-        records = self._delta(build)
-        for record in records:
-            record["count"] = int(record["count"]) + 1  # lose a bucket
-        with pytest.raises(InvariantViolation, match="histogram_mass"):
-            check_merge_delta(records)
-
-
 class TestEndToEnd:
-    def test_parallel_engine_with_checks_on(self, enabled):
-        """A short sharded run with every invariant armed (acceptance)."""
+    def test_serial_fleet_with_checks_on(self, enabled):
+        """A short fleet run with every invariant armed (acceptance)."""
         from repro.cluster import quickfleet
-        from repro.engine.parallel import FleetEngine
 
         fleet = quickfleet(
             clusters=2, machines_per_cluster=1, jobs_per_machine=2, seed=7,
         )
-        engine = FleetEngine(fleet, workers=2, barrier_seconds=120)
-        engine.run(600)  # raises InvariantViolation on any breakage
+        fleet.run(600)  # raises InvariantViolation on any breakage

@@ -1,5 +1,5 @@
-"""Chaos integration: fault scenarios replay identically serial vs
-parallel, telemetry survives sink outages, and the SLO holds under an
+"""Chaos integration: fault scenarios replay identically for the same
+seeds, telemetry survives sink outages, and the SLO holds under an
 incompressible storm."""
 
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from repro.cluster import quickfleet
 from repro.common.rng import SeedSequenceFactory
 from repro.common.units import HOUR
-from repro.engine import FleetEngine, fork_available
 from repro.faults import (
     ALL_MACHINES,
     FaultEvent,
@@ -30,31 +29,24 @@ def make_fleet(seed=21, clusters=2):
     )
 
 
-@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
-class TestMixedScenarioEngineEquivalence:
+class TestMixedScenarioReplay:
     """The acceptance scenario — crash + sink outage + incompressible
-    storm — must produce identical results under both engines."""
+    storm — must replay bit-for-bit: two fleets built and attacked with
+    the same seeds end in identical state."""
 
     DURATION = 2 * HOUR
 
     @pytest.fixture(scope="class")
     def pair(self):
-        serial = make_fleet()
-        parallel = make_fleet()
-        for fleet in (serial, parallel):
+        first = make_fleet()
+        replay = make_fleet()
+        for fleet in (first, replay):
             attach_scenario(fleet, "mixed", self.DURATION, seed=5)
-        serial.run(self.DURATION)
-        stats = FleetEngine(parallel, workers=2).run(self.DURATION)
-        return serial, parallel, stats
-
-    def test_parallel_path_taken_without_fallbacks(self, pair):
-        _, _, stats = pair
-        assert stats.mode == "parallel"
-        assert stats.shard_fallbacks == 0
+            fleet.run(self.DURATION)
+        return first, replay
 
     def test_faults_actually_fired(self, pair):
-        serial, parallel, _ = pair
-        for fleet in (serial, parallel):
+        for fleet in pair:
             injected = sum(
                 c.fault_injector.faults_injected for c in fleet.clusters
             )
@@ -62,27 +54,27 @@ class TestMixedScenarioEngineEquivalence:
             assert fleet.registry.value("repro_faults_injected_total") > 0
 
     def test_sli_histories_identical(self, pair):
-        serial, parallel, _ = pair
-        assert len(serial.sli_history) > 0
-        assert serial.sli_history == parallel.sli_history
+        first, replay = pair
+        assert len(first.sli_history) > 0
+        assert first.sli_history == replay.sli_history
 
     def test_coverage_reports_identical(self, pair):
-        serial, parallel, _ = pair
-        assert serial.coverage_report() == parallel.coverage_report()
+        first, replay = pair
+        assert first.coverage_report() == replay.coverage_report()
 
     def test_traces_identical_per_job(self, pair):
-        serial, parallel, _ = pair
-        assert serial.trace_db.job_ids == parallel.trace_db.job_ids
-        for job_id in serial.trace_db.job_ids:
+        first, replay = pair
+        assert first.trace_db.job_ids == replay.trace_db.job_ids
+        for job_id in first.trace_db.job_ids:
             a = [e.to_dict()
-                 for e in serial.trace_db.trace_for(job_id).entries]
+                 for e in first.trace_db.trace_for(job_id).entries]
             b = [e.to_dict()
-                 for e in parallel.trace_db.trace_for(job_id).entries]
+                 for e in replay.trace_db.trace_for(job_id).entries]
             assert a == b
 
     def test_fault_events_identical(self, pair):
-        serial, parallel, _ = pair
-        for cs, cp in zip(serial.clusters, parallel.clusters):
+        first, replay = pair
+        for cs, cp in zip(first.clusters, replay.clusters):
             a = [(e.time, e.payload) for e in cs.events.of_kind("faults")]
             b = [(e.time, e.payload) for e in cp.events.of_kind("faults")]
             assert a and a == b

@@ -159,9 +159,9 @@ class TestInjectorEpisodes:
         )
 
     def test_storm_survives_runtime_rewiring(self):
-        """Level-triggered enforcement: rebinding the cluster's runtime
-        mid-episode (what the parallel engine does) must not lift the
-        fault — the next tick re-asserts it."""
+        """Level-triggered enforcement: pointing the exporters back at
+        the real sink mid-episode must not lift the fault — the next
+        tick re-asserts it."""
         fleet = make_fleet()
         cluster = fleet.clusters[0]
         attach(cluster, FaultEvent(
@@ -169,8 +169,9 @@ class TestInjectorEpisodes:
             target=ALL_MACHINES,
         ))
         fleet.run(600)
-        cluster.rebind_runtime(fleet.registry, fleet.tracer, fleet.trace_db)
-        assert not any(  # rebind reset the sinks...
+        for exporter in cluster.exporters.values():
+            exporter.sink = fleet.trace_db
+        assert not any(  # the rewiring reset the sinks...
             isinstance(e.sink, BrokenSink)
             for e in cluster.exporters.values()
         )

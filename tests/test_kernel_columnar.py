@@ -7,7 +7,7 @@ exactly the per-page state, histograms, and daemon counters the scalar
 kernel produces.  These tests drive both backends through identical
 randomized operation scripts — one machine, and two machines each with
 its own pool — and assert full-state equality along the way.  A chaos
-scenario at the engine level checks the same property end to end, and
+scenario at the fleet level checks the same property end to end, and
 a churning cluster's per-machine daemon counters must agree too.
 
 Two helper contracts promised elsewhere are property-tested here too:
@@ -16,7 +16,6 @@ zsmalloc arena's running totals always match a fresh per-class recount.
 """
 
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from repro.common.rng import SeedSequenceFactory
 from repro.common.units import MIB, PAGE_SIZE
 from repro.core.threshold_policy import _sorted_percentile
 from repro.faults import attach_scenario
-from repro.kernel.columnar import _NEVER_SCANS, MachinePagePool
+from repro.kernel.columnar import _NEVER_SCANS
 from repro.kernel.compression import ContentProfile
 from repro.kernel.machine import FarMemoryMode, Machine, MachineConfig
 from repro.kernel.memcg import PageState
@@ -381,58 +380,6 @@ class TestDaemonCounters:
         assert counters["columnar"] == counters["scalar"]
         for _id, pages, scans, _cpu, runs, moved in counters["scalar"]:
             assert pages > 0 and scans > 0 and runs > 0 and moved > 0
-
-
-class TestPoolPickle:
-    """The parallel engine ships clusters by pickle; every machine must
-    rebind its own pool's memcg views exactly once on arrival and the
-    clone must continue bit-identically."""
-
-    def _fleet(self):
-        return quickfleet(
-            clusters=1,
-            machines_per_cluster=3,
-            jobs_per_machine=4,
-            seed=5,
-            machine_dram_gib=0.5,
-            kernel="columnar",
-            scan_period=60,
-            registry=MetricRegistry(),
-            tracer=Tracer(),
-        )
-
-    def test_unpickle_rebinds_each_pool_once(self):
-        fleet = self._fleet()
-        fleet.run(1800)
-        blob = pickle.dumps(fleet.clusters[0])
-        calls = []
-        original = MachinePagePool.rebind_all
-
-        def counting(self):
-            calls.append(self)
-            return original(self)
-
-        MachinePagePool.rebind_all = counting
-        try:
-            clone = pickle.loads(blob)
-        finally:
-            MachinePagePool.rebind_all = original
-        pools = [machine.pool for machine in clone.machines]
-        assert len({id(pool) for pool in pools}) == len(pools)
-        assert sorted(map(id, calls)) == sorted(map(id, pools))
-        for machine in clone.machines:
-            for memcg in machine.memcgs.values():
-                assert memcg.resident.base is machine.pool.resident
-
-    def test_clone_continues_identically(self):
-        fleet = self._fleet()
-        fleet.run(1800)
-        cluster = fleet.clusters[0]
-        clone = pickle.loads(pickle.dumps(cluster))
-        cluster.run(1800)
-        clone.run(1800)
-        for machine, twin in zip(cluster.machines, clone.machines):
-            assert _machine_state(twin) == _machine_state(machine)
 
 
 class TestSortedPercentile:

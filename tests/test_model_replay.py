@@ -13,7 +13,7 @@ from repro.core.threshold_policy import ThresholdPolicyConfig
 from repro.model.replay import FarMemoryModel, _reduce_fleet
 from repro.model.trace import JobTrace, TraceEntry
 from repro.obs import MetricName, MetricRegistry
-from repro.tracestore.bench import bench_configs, synthetic_fleet_traces
+from tests.synthetic_traces import bench_configs, synthetic_fleet_traces
 from tests.model_reference import reference_evaluate, replay_one_job
 
 

@@ -1,4 +1,4 @@
-"""Columnar trace store: equivalence, persistence, downsampling, engine."""
+"""Columnar trace store: equivalence, persistence, downsampling."""
 
 import json
 import os
@@ -25,7 +25,7 @@ from repro.tracestore import (
     MANIFEST_NAME,
     TraceStore,
 )
-from repro.tracestore.bench import bench_configs, synthetic_fleet_traces
+from tests.synthetic_traces import bench_configs, synthetic_fleet_traces
 
 
 def make_entry(job_id="j", time=0, wss=100, machine="m0", bins=None, seed=None):
@@ -426,16 +426,6 @@ class TestColumnarTraceDatabase:
         assert len(windowed) == 1
         assert [e.time for e in windowed[0].entries] == [300]
 
-    def test_mark_entries_since_across_seal(self, tmp_path):
-        db = ColumnarTraceDatabase(tmp_path / "s", buffer_rows=2)
-        db.add(make_entry("a", 0))
-        mark = db.mark()
-        db.add(make_entry("a", 300))  # seals a segment
-        db.add(make_entry("b", 0))
-        delta = db.entries_since(mark)
-        assert [(e.job_id, e.time) for e in delta] == [("a", 300), ("b", 0)]
-        assert db.entries_since(db.mark()) == []
-
     def test_jsonl_interchange(self, tmp_path):
         db = ColumnarTraceDatabase(tmp_path / "s")
         for t in (0, 300):
@@ -476,51 +466,6 @@ class TestColumnarTraceDatabase:
         mixed = [db.trace_for("a"), *db.compiled_traces()]
         with pytest.raises(ConfigurationError, match="mix"):
             FarMemoryModel(mixed)
-
-
-class TestEngineIntegration:
-    def test_serial_parallel_equivalence_on_columnar_db(self, tmp_path):
-        """The fleet's trace_db can be columnar with zero engine changes;
-        forked workers must not corrupt the parent's segments."""
-        from repro.cluster import quickfleet
-        from repro.common.units import HOUR
-        from repro.engine import FleetEngine
-
-        def run(workers, root):
-            db = ColumnarTraceDatabase(root, buffer_rows=16)
-            fleet = quickfleet(
-                clusters=2,
-                machines_per_cluster=2,
-                jobs_per_machine=2,
-                seed=3,
-                trace_db=db,
-            )
-            if workers > 1:
-                FleetEngine(fleet, workers=workers).run(HOUR)
-            else:
-                fleet.run(HOUR)
-            return fleet, db
-
-        serial_fleet, serial_db = run(1, tmp_path / "serial")
-        parallel_fleet, parallel_db = run(2, tmp_path / "parallel")
-
-        def rows(db):
-            return sorted(
-                (e.job_id, e.time, e.working_set_pages,
-                 tuple(e.cold_age_histogram.counts.tolist()))
-                for t in db.traces()
-                for e in t.entries
-            )
-
-        assert rows(serial_db) == rows(parallel_db)
-        assert (
-            serial_fleet.coverage_report() == parallel_fleet.coverage_report()
-        )
-        # The parent owned the store the whole time: reopening from disk
-        # (after a flush) sees every entry exactly once.
-        parallel_db.flush()
-        reopened = ColumnarTraceDatabase(tmp_path / "parallel")
-        assert rows(reopened) == rows(parallel_db)
 
 
 class TestAtomicSaveJsonl:

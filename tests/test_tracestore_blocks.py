@@ -1,6 +1,7 @@
 """Zero-copy TelemetryBlock ingest: all-or-nothing semantics, located
-dtype rejection, identity/generic path parity, and exporter block-failure
-degradation (spill-in-order, no double-counted rows) under sink outages."""
+dtype rejection, identity/generic path parity, block ≡ per-entry stores
+from a live fleet, and exporter block-failure degradation
+(spill-in-order, no double-counted rows) under sink outages."""
 
 import numpy as np
 import pytest
@@ -271,6 +272,61 @@ class TestBlockEntryEquivalence:
             store.append_columns(TelemetryBlock.from_entries(window))
             oracle.append_batch(window)
         assert dump(store) == dump(oracle)
+
+
+class TestZeroCopyFleetTelemetry:
+    """A live columnar fleet's exporters gather blocks straight from the
+    page pools; switching every exporter to the per-entry object oracle
+    (``prefer_blocks = False``) must leave a byte-identical store and
+    equal replay tensors."""
+
+    def run_fleet(self, root, prefer_blocks):
+        registry = MetricRegistry()
+        db = ColumnarTraceDatabase(root, buffer_rows=256, registry=registry)
+        fleet = quickfleet(
+            clusters=1,
+            machines_per_cluster=2,
+            jobs_per_machine=4,
+            seed=99,
+            machine_dram_gib=1.0,
+            job_pages_range=(256, 1024),  # 1-4 MiB jobs
+            kernel="columnar",
+            scan_period=60,
+            churn_duration_range=(1800, 7200),
+            registry=registry,
+            tracer=Tracer(),
+            trace_db=db,
+        )
+        for exporter in fleet.clusters[0].exporters.values():
+            exporter.prefer_blocks = prefer_blocks
+        fleet.run(int(0.25 * HOUR))
+        db.flush()
+        return db, registry
+
+    def test_block_and_entry_exporters_store_identically(self, tmp_path):
+        block_db, block_registry = self.run_fleet(tmp_path / "block", True)
+        entry_db, entry_registry = self.run_fleet(tmp_path / "entry", False)
+
+        # Both paths were really taken.
+        assert block_registry.value("repro_tracestore_block_rows_total") > 0
+        assert entry_registry.value("repro_tracestore_block_rows_total") == 0
+        assert block_db.store.rows_total == entry_db.store.rows_total > 0
+
+        assert dir_bytes(tmp_path / "block") == dir_bytes(tmp_path / "entry")
+        block_compiled = block_db.compiled_traces()
+        entry_compiled = entry_db.compiled_traces()
+        assert [c.job_id for c in block_compiled] == [
+            c.job_id for c in entry_compiled
+        ]
+        for a, b in zip(block_compiled, entry_compiled):
+            assert a.bins == b.bins
+            assert a.interval_seconds == b.interval_seconds
+            for column in ("cold_suffix_sums", "promotion_suffix_sums",
+                           "working_set_pages", "times", "resident_pages",
+                           "cpu_cores"):
+                np.testing.assert_array_equal(
+                    getattr(a, column), getattr(b, column)
+                )
 
 
 class BlockFlakySink:
